@@ -22,9 +22,9 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, TypeVar
 
-from .errors import AsymmetricForm, DimensionMismatch, IntegralityWarning
+from .errors import AsymmetricForm, DimensionMismatch, IntegralityWarning, InvalidInput
 from .rationals import rat, rat_str, rats
 
 
@@ -34,77 +34,62 @@ def _check_len(label: str, got: int, want: int) -> None:
 
 
 @dataclass(frozen=True)
-class DivClass:
+class _ClassVector:
+    """An exact rational vector indexed by the divisor generators.
+
+    Shared by ``DivClass`` and ``CurveClass``; arithmetic keeps the operand
+    type, and combining the two types is an error rather than a silent sum.
+    """
+
+    coords: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coords", rats(self.coords))
+
+    @classmethod
+    def zero(cls: type[V], m: int) -> V:
+        return cls((Fraction(0),) * m)
+
+    @classmethod
+    def of(cls: type[V], value: V | Sequence[int | str | Fraction]) -> V:
+        """``value`` itself if it is a ``cls`` already, else a ``cls`` with its coordinates."""
+        return value if isinstance(value, cls) else cls(tuple(value))
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    @property
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coords)
+
+    def __add__(self: V, other: V) -> V:
+        if type(other) is not type(self):
+            raise InvalidInput(f"cannot add {type(other).__name__} to {type(self).__name__}")
+        _check_len(type(self).__name__, len(other), len(self))
+        return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self: V, other: V) -> V:
+        return self + (-other)
+
+    def __neg__(self: V) -> V:
+        return type(self)(tuple(-a for a in self.coords))
+
+    def __mul__(self: V, scalar: int | str | Fraction) -> V:
+        s = rat(scalar)
+        return type(self)(tuple(a * s for a in self.coords))
+
+    __rmul__ = __mul__
+
+
+V = TypeVar("V", bound=_ClassVector)
+
+
+class DivClass(_ClassVector):
     """Codimension-1 class: coefficients over the divisor generators."""
 
-    coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", rats(self.coeffs))
-
-    @classmethod
-    def zero(cls, m: int) -> DivClass:
-        return cls((Fraction(0),) * m)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: DivClass) -> DivClass:
-        _check_len("divisor class", len(other), len(self))
-        return DivClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: DivClass) -> DivClass:
-        return self + (-other)
-
-    def __neg__(self) -> DivClass:
-        return DivClass(tuple(-a for a in self.coeffs))
-
-    def __mul__(self, scalar: int | str | Fraction) -> DivClass:
-        s = rat(scalar)
-        return DivClass(tuple(a * s for a in self.coeffs))
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(_ClassVector):
     """Codimension-2 class: intersection numbers against the generators."""
-
-    pairings: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairings", rats(self.pairings))
-
-    @classmethod
-    def zero(cls, m: int) -> CurveClass:
-        return cls((Fraction(0),) * m)
-
-    def __len__(self) -> int:
-        return len(self.pairings)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.pairings)
-
-    def __add__(self, other: CurveClass) -> CurveClass:
-        _check_len("curve class", len(other), len(self))
-        return CurveClass(tuple(a + b for a, b in zip(self.pairings, other.pairings)))
-
-    def __sub__(self, other: CurveClass) -> CurveClass:
-        return self + (-other)
-
-    def __neg__(self) -> CurveClass:
-        return CurveClass(tuple(-a for a in self.pairings))
-
-    def __mul__(self, scalar: int | str | Fraction) -> CurveClass:
-        s = rat(scalar)
-        return CurveClass(tuple(a * s for a in self.pairings))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -188,19 +173,14 @@ def make_threefold(
                     f"T[{p}][{q}][{r}] = {rat_str(form[p][q][r])}"
                 )
 
-    div = c1X if isinstance(c1X, DivClass) else DivClass(tuple(c1X))
-    curve = c2X if isinstance(c2X, CurveClass) else CurveClass(tuple(c2X))
+    div = DivClass.of(c1X)
+    curve = CurveClass.of(c2X)
     _check_len("c1X", len(div), m)
     _check_len("c2X", len(curve), m)
 
-    lattice: tuple[CurveClass, ...] | None = None
-    if curve_lattice is not None:
-        gens = []
-        for gen in curve_lattice:
-            cc = gen if isinstance(gen, CurveClass) else CurveClass(tuple(gen))
-            _check_len("curve lattice generator", len(cc), m)
-            gens.append(cc)
-        lattice = tuple(gens)
+    lattice = None if curve_lattice is None else tuple(CurveClass.of(g) for g in curve_lattice)
+    for gen in lattice or ():
+        _check_len("curve lattice generator", len(gen), m)
 
     X = Threefold(names, form, div, curve, lattice)
     _warn_if_c2X_outside_lattice(X)
@@ -248,7 +228,7 @@ def _solve_rational_system(
 def _warn_if_c2X_outside_lattice(X: Threefold) -> None:
     if X.curve_lattice is None:
         return
-    coords = _solve_rational_system([g.pairings for g in X.curve_lattice], X.c2X.pairings)
+    coords = _solve_rational_system([g.coords for g in X.curve_lattice], X.c2X.coords)
     if coords is False:
         warnings.warn(
             "c2X is not a rational combination of the declared curve lattice",
@@ -274,10 +254,10 @@ def mul_div_div(X: Threefold, a: DivClass, b: DivClass) -> CurveClass:
     for i in range(X.m):
         total = Fraction(0)
         for j in range(X.m):
-            if a.coeffs[j] == 0:
+            if a.coords[j] == 0:
                 continue
             for k in range(X.m):
-                total += a.coeffs[j] * b.coeffs[k] * X.T[j][k][i]
+                total += a.coords[j] * b.coords[k] * X.T[j][k][i]
         pairings.append(total)
     return CurveClass(tuple(pairings))
 
@@ -286,7 +266,7 @@ def pair_div_curve(X: Threefold, a: DivClass, q: CurveClass) -> PointClass:
     """Intersection number of a divisor class with a curve class."""
     _check_len("divisor class", len(a), X.m)
     _check_len("curve class", len(q), X.m)
-    return PointClass(sum((ai * qi for ai, qi in zip(a.coeffs, q.pairings)), Fraction(0)))
+    return PointClass(sum((ai * qi for ai, qi in zip(a.coords, q.coords)), Fraction(0)))
 
 
 def triple(X: Threefold, a: DivClass, b: DivClass, c: DivClass) -> PointClass:
@@ -305,11 +285,11 @@ def threefold_to_json(X: Threefold) -> dict:
         "schema": "1",
         "generators": list(X.generator_names),
         "T": [[[rat_str(x) for x in row] for row in plane] for plane in X.T],
-        "c1X": [rat_str(c) for c in X.c1X.coeffs],
-        "c2X": [rat_str(c) for c in X.c2X.pairings],
+        "c1X": [rat_str(c) for c in X.c1X.coords],
+        "c2X": [rat_str(c) for c in X.c2X.coords],
     }
     if X.curve_lattice is not None:
-        doc["curve_lattice"] = [[rat_str(c) for c in g.pairings] for g in X.curve_lattice]
+        doc["curve_lattice"] = [[rat_str(c) for c in g.coords] for g in X.curve_lattice]
     return doc
 
 

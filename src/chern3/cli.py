@@ -6,6 +6,10 @@ responses are rendered as "p/q" strings, never floating point.  Table mode
 renders the same data as JSON mode, flattened to name/value rows, so the
 two modes cannot drift apart.
 
+Each command is defined once, as a ``COMMANDS`` entry; the payload schemas,
+the argparse subcommands and the mapping from flags to payload are built
+from that table, so CLI and JSON requests cannot drift apart either.
+
 Exit codes: 0 ok, 1 domain error (or a failing verification suite),
 2 schema error.
 """
@@ -18,6 +22,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -64,7 +69,7 @@ from .sheaf import (
     discriminant,
     dual,
     rr_intersections,
-    rr_terms,
+    rr_weigh,
     tensor,
     twist,
 )
@@ -77,21 +82,15 @@ _RAT_VEC = {"type": "array", "items": _RAT, "minItems": 1}
 _RANGE = {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2}
 _VERSION = {"const": SCHEMA_VERSION}
 
-_CHERN_DOC = {
-    "type": "object",
-    "properties": {
-        "rank": {"type": "integer", "minimum": 1},
-        "c1": _RAT_VEC,
-        "c2": _RAT_VEC,
-        "c3": _RAT,
-    },
-    "required": ["rank", "c1", "c2", "c3"],
-    "additionalProperties": False,
-}
 
-_THREEFOLD_DOC = {
-    "type": "object",
-    "properties": {
+def _object(properties: dict, required: list[str]) -> dict:
+    """Schema of a JSON object with these properties and no others."""
+    return {"type": "object", "properties": properties, "required": required,
+            "additionalProperties": False}
+
+
+_THREEFOLD_DOC = _object(
+    {
         "schema": _VERSION,
         "generators": {"type": "array", "items": {"type": "string"}, "minItems": 1},
         "T": {"type": "array", "items": {"type": "array", "items": _RAT_VEC}},
@@ -99,143 +98,8 @@ _THREEFOLD_DOC = {
         "c2X": _RAT_VEC,
         "curve_lattice": {"type": "array", "items": _RAT_VEC, "minItems": 1},
     },
-    "required": ["generators", "T", "c1X", "c2X"],
-    "additionalProperties": False,
-}
-
-_TARGET_ONE_OF = [{"required": ["preset"]}, {"required": ["threefold"]}]
-
-PAYLOAD_SCHEMAS: dict[str, dict] = {
-    "threefold": {
-        "type": "object",
-        "properties": {
-            "schema": _VERSION,
-            "ambient": {"type": "integer", "minimum": 3},
-            "degrees": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        },
-        "required": ["ambient", "degrees"],
-        "additionalProperties": False,
-    },
-    "chern": {
-        "type": "object",
-        "properties": {
-            "schema": _VERSION,
-            "op": {"enum": ["tensor", "dual", "twist", "delta"]},
-            "preset": {"type": "string"},
-            "threefold": _THREEFOLD_DOC,
-            "E": _CHERN_DOC,
-            "F": _CHERN_DOC,
-            "L": _RAT_VEC,
-        },
-        "required": ["op", "F"],
-        "additionalProperties": False,
-        "oneOf": _TARGET_ONE_OF,
-        "allOf": [
-            {"if": {"properties": {"op": {"const": "tensor"}}}, "then": {"required": ["E"]}},
-            {"if": {"properties": {"op": {"const": "twist"}}}, "then": {"required": ["L"]}},
-        ],
-    },
-    "chi": {
-        "type": "object",
-        "properties": {
-            "schema": _VERSION,
-            "preset": {"type": "string"},
-            "threefold": _THREEFOLD_DOC,
-            "rank": {"type": "integer", "minimum": 1},
-            "c1": _RAT_VEC,
-            "c2": _RAT_VEC,
-            "c3": _RAT,
-        },
-        "required": ["rank", "c1", "c2", "c3"],
-        "additionalProperties": False,
-        "oneOf": _TARGET_ONE_OF,
-    },
-    "moduli-dim": {
-        "type": "object",
-        "properties": {
-            "schema": _VERSION,
-            "preset": {"type": "string"},
-            "threefold": _THREEFOLD_DOC,
-            "rank": {"type": "integer", "minimum": 1},
-            "c1": _RAT_VEC,
-            "c2": _RAT_VEC,
-            "c3": _RAT,
-        },
-        "required": ["rank", "c1", "c2", "c3"],
-        "additionalProperties": False,
-        "oneOf": _TARGET_ONE_OF,
-    },
-    "serre": {
-        "type": "object",
-        "properties": {
-            "schema": _VERSION,
-            "preset": {"type": "string"},
-            "threefold": _THREEFOLD_DOC,
-            "direction": {"enum": ["to-c3", "to-genus"]},
-            "det": _RAT_VEC,
-            "c2": _RAT_VEC,
-            "genus": _RAT,
-            "c3": _RAT,
-        },
-        "required": ["direction", "det", "c2"],
-        "additionalProperties": False,
-        "oneOf": _TARGET_ONE_OF,
-        "allOf": [
-            {"if": {"properties": {"direction": {"const": "to-c3"}}}, "then": {"required": ["genus"]}},
-            {"if": {"properties": {"direction": {"const": "to-genus"}}}, "then": {"required": ["c3"]}},
-        ],
-    },
-    "ledger": {
-        "type": "object",
-        "properties": {
-            "schema": _VERSION,
-            "h0_N": {"type": "integer", "minimum": 0},
-            "h0_F": {"type": "integer", "minimum": 0},
-            "h0_IF": {"type": "integer", "minimum": 0},
-            "h1_IC_zero": {"type": "boolean"},
-        },
-        "required": ["h0_N", "h0_F"],
-        "additionalProperties": False,
-    },
-    "dzero": {
-        "type": "object",
-        "properties": {
-            "schema": _VERSION,
-            "preset": {"type": "string"},
-            "threefold": _THREEFOLD_DOC,
-            "k_range": _RANGE,
-            "c_range": _RANGE,
-            "verify_paper": {"type": "boolean"},
-        },
-        "additionalProperties": False,
-        "anyOf": [{"required": ["verify_paper"]}] + _TARGET_ONE_OF,
-    },
-    "verify": {
-        "type": "object",
-        "properties": {
-            "schema": _VERSION,
-            "suite": {"const": "paper"},
-            "tensor_formulas": {"type": "boolean"},
-            "max_rank": {"type": "integer", "minimum": 1, "maximum": 6},
-            "trials": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer"},
-        },
-        "additionalProperties": False,
-        "anyOf": [{"required": ["suite"]}, {"required": ["tensor_formulas"]}],
-    },
-}
-
-REQUEST_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema": _VERSION,
-        "command": {"enum": sorted(PAYLOAD_SCHEMAS)},
-        "payload": {"type": "object"},
-        "output_mode": {"enum": ["table", "json"]},
-    },
-    "required": ["command", "payload"],
-    "additionalProperties": False,
-}
+    ["generators", "T", "c1X", "c2X"],
+)
 
 
 @dataclass(frozen=True)
@@ -253,36 +117,6 @@ class Response:
     audit: tuple[tuple[str, str], ...]
 
 
-def _schema_message(exc: jsonschema.ValidationError) -> str:
-    path = "/".join(str(p) for p in exc.absolute_path)
-    return f"{exc.message}" + (f" (at {path})" if path else "")
-
-
-def validate_payload(command: str, payload: dict) -> None:
-    if command not in PAYLOAD_SCHEMAS:
-        raise SchemaError(f"unknown command {command!r}")
-    try:
-        jsonschema.validate(payload, PAYLOAD_SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"{command}: {_schema_message(exc)}") from None
-
-
-def load_config(path: str | Path) -> Request:
-    """Parse a request document from a JSON file, rejecting unknown keys."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    try:
-        jsonschema.validate(doc, REQUEST_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"{path}: {_schema_message(exc)}") from None
-    request = Request(doc["command"], doc["payload"], doc.get("output_mode", "table"))
-    validate_payload(request.command, request.payload)
-    return request
-
-
 def _resolve_threefold(payload: dict) -> tuple[Threefold, str]:
     if "preset" in payload:
         preset = parse_preset(payload["preset"])
@@ -291,11 +125,11 @@ def _resolve_threefold(payload: dict) -> tuple[Threefold, str]:
 
 
 def _sheaf_from_flat(payload: dict) -> ChernData:
-    return ChernData(payload["rank"], payload["c1"], payload["c2"], payload["c3"])
+    return ChernData(payload["rank"], payload["c1"], payload["c2"], payload.get("c3", 0))
 
 
 def _handle_threefold(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
-    preset = CIPreset(payload["ambient"], tuple(payload["degrees"]))
+    preset = CIPreset(payload["ambient"], tuple(payload.get("degrees", ())))
     chern = tangent_chern(preset)
     X = build_ci(preset)
     data = {
@@ -315,38 +149,33 @@ def _handle_chern(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     X, label = _resolve_threefold(payload)
     F = chern_from_json(payload["F"])
     op = payload["op"]
+    if op == "delta":
+        delta = discriminant(X, F)
+        return {"threefold": label, "op": op, "delta": [rat_str(x) for x in delta.coords]}, []
     if op == "tensor":
         result = tensor(X, chern_from_json(payload["E"]), F)
-        return {"threefold": label, "op": op, "result": chern_to_json(result)}, []
-    if op == "dual":
-        return {"threefold": label, "op": op, "result": chern_to_json(dual(X, F))}, []
-    if op == "twist":
+    elif op == "dual":
+        result = dual(X, F)
+    else:
         result = twist(X, F, DivClass(tuple(payload["L"])))
-        return {"threefold": label, "op": op, "result": chern_to_json(result)}, []
-    delta = discriminant(X, F)
-    return {
-        "threefold": label,
-        "op": op,
-        "delta": [rat_str(x) for x in delta.pairings],
-    }, []
+    return {"threefold": label, "op": op, "result": chern_to_json(result)}, []
 
 
 def _handle_chi(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     X, label = _resolve_threefold(payload)
     F = _sheaf_from_flat(payload)
     numbers = rr_intersections(X, F)
-    terms = rr_terms(X, F)
+    terms = rr_weigh(F.rank, numbers)
     total = sum((v for _, v in terms), start=rat(0))
     audit = [(name, rat_str(v)) for name, v in numbers]
     audit += [(name, rat_str(v)) for name, v in terms]
     audit.append(("chi", rat_str(total)))
-    data = {
+    return {
         "threefold": label,
         "sheaf": chern_to_json(F),
         "terms": {name: rat_str(v) for name, v in terms},
         "chi": rat_str(total),
-    }
-    return data, audit
+    }, audit
 
 
 def _handle_moduli_dim(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
@@ -359,7 +188,7 @@ def _handle_moduli_dim(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     dim = expected_dim(X, F)
     audit = [("c1(X).c2(X)", rat_str(c1c2))]
     audit += [
-        (f"Delta(F).{X.generator_names[i]}", rat_str(delta.pairings[i]))
+        (f"Delta(F).{X.generator_names[i]}", rat_str(delta.coords[i]))
         for i in range(X.m)
     ]
     audit += [
@@ -367,14 +196,13 @@ def _handle_moduli_dim(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
         ("ext_euler", rat_str(chi_ext)),
         ("expected_dim", rat_str(dim)),
     ]
-    data = {
+    return {
         "threefold": label,
         "sheaf": chern_to_json(F),
         "ext_euler": rat_str(chi_ext),
         "expected_dim": rat_str(dim),
         "note": "expected dimension under the stable rank-2 hypotheses",
-    }
-    return data, audit
+    }, audit
 
 
 def _handle_serre(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
@@ -400,7 +228,7 @@ def _handle_ledger(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
 
 def _dzero_report_json(report: DZeroReport) -> dict:
     a, b, e = report.condition
-    doc: dict[str, Any] = {
+    return {
         "condition": {"a": rat_str(a), "b": rat_str(b), "e": rat_str(e)},
         "normalized": {
             "A": report.normalized[0],
@@ -425,7 +253,6 @@ def _dzero_report_json(report: DZeroReport) -> dict:
         "c_range": list(report.c_range),
         "grid_checked": report.grid_checked,
     }
-    return doc
 
 
 def _claims_json(claims: PaperClaimsReport) -> dict:
@@ -457,9 +284,7 @@ def _handle_dzero(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     k_range = tuple(payload.get("k_range", (-50, 50)))
     c_range = tuple(payload.get("c_range", (-50, 50)))
     report = solve_dzero(DZeroProblem(X, k_range, c_range))
-    data = {"threefold": label}
-    data.update(_dzero_report_json(report))
-    return data, []
+    return {"threefold": label, **_dzero_report_json(report)}, []
 
 
 def _tensor_report_json(report: TensorFormulaReport) -> dict:
@@ -489,41 +314,231 @@ def _tensor_report_json(report: TensorFormulaReport) -> dict:
 
 
 def _handle_verify(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
-    if "suite" in payload and payload.get("tensor_formulas"):
-        raise SchemaError("verify: choose either suite or tensor_formulas, not both")
-    if payload.get("suite") == "paper":
-        claims = verify_paper_claims()
-        formulas = verify_tensor_formulas(
-            max_rank=payload.get("max_rank", 4),
-            trials=payload.get("trials", 100),
-            seed=payload.get("seed", 42),
-        )
-        ok = formulas.ok
-        data = {
-            "suite": "paper",
-            "ok": ok,
-            "claims": _claims_json(claims),
-            "tensor_formulas": _tensor_report_json(formulas),
-        }
-        return data, []
     formulas = verify_tensor_formulas(
         max_rank=payload.get("max_rank", 4),
         trials=payload.get("trials", 100),
         seed=payload.get("seed", 42),
     )
-    return {"ok": formulas.ok, "tensor_formulas": _tensor_report_json(formulas)}, []
+    report = _tensor_report_json(formulas)
+    if "suite" not in payload:
+        return {"ok": formulas.ok, "tensor_formulas": report}, []
+    claims = _claims_json(verify_paper_claims())
+    return {"suite": "paper", "ok": formulas.ok, "claims": claims, "tensor_formulas": report}, []
 
 
-_HANDLERS: dict[str, Callable[[dict], tuple[dict, list[tuple[str, str]]]]] = {
-    "threefold": _handle_threefold,
-    "chern": _handle_chern,
-    "chi": _handle_chi,
-    "moduli-dim": _handle_moduli_dim,
-    "serre": _handle_serre,
-    "ledger": _handle_ledger,
-    "dzero": _handle_dzero,
-    "verify": _handle_verify,
+_RANGE_FLAG = re.compile(r"^-?\d+\.\.-?\d+$")
+
+
+def _parse_range(text: str) -> list[int]:
+    if not _RANGE_FLAG.match(text):
+        raise SchemaError(f"range {text!r} must look like -10..10")
+    lo, hi = text.split("..")
+    return [int(lo), int(hi)]
+
+
+def _parse_vector(text: str) -> list[str]:
+    return [piece.strip() for piece in text.split(",") if piece.strip()]
+
+
+def _parse_json_flag(text: str, label: str) -> dict:
+    raw = text
+    if not text.lstrip().startswith("{"):
+        raw = Path(text).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{label}: {exc.msg} at line {exc.lineno}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{label}: expected a JSON object")
+    return doc
+
+
+def _preset_fields(text: str) -> dict:
+    preset = parse_preset(text)
+    return {"ambient": preset.ambient, "degrees": list(preset.degrees)}
+
+
+@dataclass(frozen=True)
+class Flag:
+    """A CLI flag: the payload key it fills, its schema and its text parser.
+
+    Integer flags are parsed by argparse.  A flag with ``const`` takes no
+    value and stores ``const``.  A flag without a key merges the fields it
+    parses into the payload; two flags that set one key exclude each other.
+    A name without dashes is a positional argument.
+    """
+
+    name: str
+    key: str | None
+    schema: dict
+    parse: Callable[[str], Any] | None = None
+    required: bool = False
+    const: Any = None
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class Command:
+    """A CLI command: help text, handler, flags and payload rules, each rule a
+    JSON-schema fragment every payload satisfies and the CLI's message if not."""
+
+    help: str
+    handler: Callable[[dict], tuple[dict, list[tuple[str, str]]]]
+    flags: tuple[Flag, ...]
+    rules: tuple[tuple[str, dict], ...] = ()
+
+
+def _one_of(*keys: str) -> dict:
+    return {"oneOf": [{"required": [key]} for key in keys]}
+
+
+def _when(key: str, value: str, then: dict, otherwise: dict | None = None) -> dict:
+    rule = {"if": {"properties": {key: {"const": value}}}, "then": then}
+    if otherwise is not None:
+        rule["else"] = otherwise
+    return rule
+
+
+_PRESET_HELP = "preset name; catalogued: " + ", ".join(PRESET_CATALOG)
+_TARGET = (
+    Flag("--preset", "preset", {"type": "string"}, help=_PRESET_HELP),
+    Flag("--threefold", "threefold", _THREEFOLD_DOC, partial(_parse_json_flag, label="--threefold"),
+         help="threefold JSON document or a path to one"),
+)
+_TARGET_RULE = ("{command}: provide --preset or --threefold", _one_of("preset", "threefold"))
+_SHEAF_FLAGS = (
+    Flag("--rank", "rank", {"type": "integer", "minimum": 1}, required=True),
+    Flag("--c1", "c1", _RAT_VEC, _parse_vector, required=True),
+    Flag("--c2", "c2", _RAT_VEC, _parse_vector, required=True),
+    Flag("--c3", "c3", _RAT, help="defaults to 0"),
+)
+# A sheaf document holds the same fields as the sheaf flags, c3 included.
+_CHERN_DOC = _object({f.key: f.schema for f in _SHEAF_FLAGS}, [f.key for f in _SHEAF_FLAGS])
+_COUNT = {"type": "integer", "minimum": 0}
+
+COMMANDS: dict[str, Command] = {
+    "threefold": Command("build a complete-intersection threefold model", _handle_threefold, (
+        Flag("--ambient", "ambient", {"type": "integer", "minimum": 3}),
+        Flag("--degrees", "degrees", {"type": "array", "items": {"type": "integer", "minimum": 1}},
+             lambda text: [int(d) for d in _parse_vector(text)],
+             help="comma-separated degrees, empty for none"),
+        Flag("--preset", None, {"type": "string"}, _preset_fields, help=_PRESET_HELP),
+    ), (("threefold: provide --preset or --ambient/--degrees", {"required": ["ambient"]}),)),
+    "chern": Command("sheaf Chern-class operations", _handle_chern, (
+        Flag("op", "op", {"enum": ["tensor", "dual", "twist", "delta"]}, required=True),
+        *_TARGET,
+        Flag("--f", "F", _CHERN_DOC, partial(_parse_json_flag, label="--f"), required=True,
+             help="sheaf JSON document or path"),
+        Flag("--e", "E", {"$ref": "#/properties/F"}, partial(_parse_json_flag, label="--e"),
+             help="second sheaf JSON document, for tensor"),
+        Flag("--l", "L", _RAT_VEC, _parse_vector, help="comma-separated divisor class, for twist"),
+    ), (
+        _TARGET_RULE,
+        ("chern: tensor, and only tensor, takes --e",
+         _when("op", "tensor", {"required": ["E"]}, {"not": {"required": ["E"]}})),
+        ("chern: twist, and only twist, takes --l",
+         _when("op", "twist", {"required": ["L"]}, {"not": {"required": ["L"]}})),
+    )),
+    "chi": Command(
+        "Riemann-Roch Euler characteristic", _handle_chi, _TARGET + _SHEAF_FLAGS, (_TARGET_RULE,)
+    ),
+    "moduli-dim": Command(
+        "rank-2 moduli dimension", _handle_moduli_dim, _TARGET + _SHEAF_FLAGS, (_TARGET_RULE,)
+    ),
+    "serre": Command("curve genus and c3 conversions", _handle_serre, (
+        Flag("--to-c3", "direction", {"enum": ["to-c3", "to-genus"]}, const="to-c3"),
+        Flag("--to-genus", "direction", {"enum": ["to-c3", "to-genus"]}, const="to-genus"),
+        *_TARGET,
+        Flag("--det", "det", _RAT_VEC, _parse_vector, required=True),
+        Flag("--c2", "c2", _RAT_VEC, _parse_vector, required=True),
+        Flag("--genus", "genus", _RAT),
+        Flag("--c3", "c3", _RAT),
+    ), (
+        ("serre: provide --to-c3 or --to-genus", {"required": ["direction"]}),
+        ("serre --to-c3 needs --genus", _when("direction", "to-c3", {"required": ["genus"]})),
+        ("serre --to-genus needs --c3", _when("direction", "to-genus", {"required": ["c3"]})),
+        ("serre: give only one of --genus, --c3", {"not": {"required": ["genus", "c3"]}}),
+        _TARGET_RULE,
+    )),
+    "ledger": Command("Ext^1 dimension count from cohomology values", _handle_ledger, (
+        Flag("--h0-n", "h0_N", _COUNT, required=True),
+        Flag("--h0-f", "h0_F", _COUNT, required=True),
+        Flag("--h0-if", "h0_IF", _COUNT),
+        Flag("--h1-ic-zero", "h1_IC_zero", {"type": "boolean"}, const=True),
+    )),
+    "dzero": Command("expected-dimension-zero search", _handle_dzero, (
+        *_TARGET,
+        Flag("--k", "k_range", _RANGE, _parse_range, help="twist range lo..hi, default -50..50"),
+        Flag("--c", "c_range", _RANGE, _parse_range, help="curve range lo..hi, default -50..50"),
+        Flag("--verify-paper", "verify_paper", {"const": True}, const=True),
+    ), (
+        ("dzero: --verify-paper takes no --preset, --threefold, --k or --c", {"dependentSchemas": {
+            "verify_paper": {"propertyNames": {"enum": ["schema", "verify_paper"]}},
+        }}),
+        ("dzero: provide --preset or --threefold", _one_of("verify_paper", "preset", "threefold")),
+    )),
+    "verify": Command("verification suites", _handle_verify, (
+        Flag("--suite", "suite", {"enum": ["paper"]}),
+        Flag("--tensor-formulas", "tensor_formulas", {"const": True}, const=True),
+        Flag("--max-rank", "max_rank", {"type": "integer", "minimum": 1, "maximum": 6}),
+        Flag("--trials", "trials", {"type": "integer", "minimum": 1}),
+        Flag("--seed", "seed", {"type": "integer"}, help="seed for randomized verification"),
+    ), (
+        ("verify: provide --suite paper or --tensor-formulas", _one_of("suite", "tensor_formulas")),
+    )),
 }
+
+
+def _payload_schema(command: Command) -> dict:
+    flags = [flag for flag in command.flags if flag.key]
+    schema = _object(
+        {"schema": _VERSION, **{flag.key: flag.schema for flag in flags}},
+        [flag.key for flag in flags if flag.required],
+    )
+    if command.rules:
+        schema["allOf"] = [rule for _, rule in command.rules]
+    return schema
+
+
+PAYLOAD_SCHEMAS: dict[str, dict] = {name: _payload_schema(c) for name, c in COMMANDS.items()}
+
+REQUEST_SCHEMA = _object(
+    {
+        "schema": _VERSION,
+        "command": {"enum": sorted(PAYLOAD_SCHEMAS)},
+        "payload": {"type": "object"},
+        "output_mode": {"enum": ["table", "json"]},
+    },
+    ["command", "payload"],
+)
+
+
+def _schema_message(exc: jsonschema.ValidationError) -> str:
+    path = "/".join(str(p) for p in exc.absolute_path)
+    return f"{exc.message}" + (f" (at {path})" if path else "")
+
+
+def validate_payload(command: str, payload: dict) -> None:
+    if command not in PAYLOAD_SCHEMAS:
+        raise SchemaError(f"unknown command {command!r}")
+    try:
+        jsonschema.validate(payload, PAYLOAD_SCHEMAS[command])
+    except jsonschema.ValidationError as exc:
+        raise SchemaError(f"{command}: {_schema_message(exc)}") from None
+
+
+def load_config(path: str | Path) -> Request:
+    """Parse a request document from a JSON file, rejecting unknown keys."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    try:
+        jsonschema.validate(doc, REQUEST_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise SchemaError(f"{path}: {_schema_message(exc)}") from None
+    return Request(doc["command"], doc["payload"], doc.get("output_mode", "table"))
 
 
 def run(request: Request) -> Response:
@@ -531,7 +546,7 @@ def run(request: Request) -> Response:
     validate_payload(request.command, request.payload)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        data, audit = _HANDLERS[request.command](request.payload)
+        data, audit = COMMANDS[request.command].handler(request.payload)
     messages = sorted({str(w.message) for w in caught})
     if messages:
         data["warnings"] = messages
@@ -575,58 +590,38 @@ def response_table(response: Response) -> str:
     return "\n".join(lines)
 
 
-_RANGE_FLAG = re.compile(r"^-?\d+\.\.-?\d+$")
-_VALUE_FLAGS = {
-    "--k",
-    "--c",
-    "--c1",
-    "--c2",
-    "--c3",
-    "--det",
-    "--genus",
-    "--l",
-    "--degrees",
+# Rationals, vectors and ranges may start with "-".
+_NEGATIVE_FLAGS = {
+    flag.name
+    for command in COMMANDS.values()
+    for flag in command.flags
+    if flag.schema is _RAT or flag.schema.get("type") == "array"
 }
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
     """Turn "--k -10..10" into "--k=-10..10" so argparse keeps the value."""
-    merged = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            merged.append(f"{token}={argv[i + 1]}")
-            skip = True
+    merged: list[str] = []
+    for token in argv:
+        if merged and merged[-1] in _NEGATIVE_FLAGS and token.startswith("-"):
+            merged[-1] += f"={token}"
         else:
             merged.append(token)
     return merged
 
 
-def _parse_range(text: str) -> list[int]:
-    if not _RANGE_FLAG.match(text):
-        raise SchemaError(f"range {text!r} must look like -10..10")
-    lo, hi = text.split("..")
-    return [int(lo), int(hi)]
-
-
-def _parse_vector(text: str) -> list[str]:
-    return [piece.strip() for piece in text.split(",") if piece.strip()]
-
-
-def _parse_json_flag(text: str, label: str) -> dict:
-    raw = text
-    if not text.lstrip().startswith("{"):
-        raw = Path(text).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{label}: {exc.msg} at line {exc.lineno}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{label}: expected a JSON object")
-    return doc
+def _add_flags(parser: argparse.ArgumentParser, flags: tuple[Flag, ...]) -> None:
+    for flag in flags:
+        kwargs: dict[str, Any] = {"help": flag.help}
+        if flag.const is not None:
+            kwargs.update(action="store_const", const=flag.const)
+        else:
+            kwargs.update(choices=flag.schema.get("enum"))
+            if flag.schema.get("type") == "integer":
+                kwargs.update(type=int)
+        if flag.name.startswith("-"):
+            kwargs.update(dest=flag.name.lstrip("-"), required=flag.required)
+        parser.add_argument(flag.name, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -641,158 +636,39 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", default=argparse.SUPPRESS,
         help="write the report to this path instead of stdout",
     )
-    common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS,
-        help="seed for randomized verification",
-    )
 
     parser = argparse.ArgumentParser(
         prog="chern3",
         description="Exact characteristic-class calculator for sheaves on threefolds",
         parents=[common],
     )
-    parser.set_defaults(json=False, out=None, seed=None)
+    parser.set_defaults(json=False, out=None)
     parser.add_argument("--config", help="read a full request document from a JSON file")
     sub = parser.add_subparsers(dest="command", parser_class=argparse.ArgumentParser)
-
-    def add_parser(name: str, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add_parser("threefold", help="build a complete-intersection threefold model")
-    p.add_argument("--preset", help="preset name; catalogued: " + ", ".join(PRESET_CATALOG))
-    p.add_argument("--ambient", type=int)
-    p.add_argument("--degrees", default=None, help="comma-separated degrees, empty for none")
-
-    p = add_parser("chern", help="sheaf Chern-class operations")
-    chern_sub = p.add_subparsers(dest="op", required=True)
-    for op in ("tensor", "dual", "twist", "delta"):
-        q = chern_sub.add_parser(op, parents=[common])
-        q.add_argument("--preset")
-        q.add_argument("--threefold", help="threefold JSON document or a path to one")
-        q.add_argument("--f", required=True, help="sheaf JSON document or path", dest="f_doc")
-        if op == "tensor":
-            q.add_argument("--e", required=True, help="second sheaf JSON document", dest="e_doc")
-        if op == "twist":
-            q.add_argument("--l", required=True, help="comma-separated divisor class")
-
-    for name in ("chi", "moduli-dim"):
-        p = add_parser(name, help="Riemann-Roch / expected-dimension evaluation")
-        p.add_argument("--preset")
-        p.add_argument("--threefold")
-        p.add_argument("--rank", type=int, required=True)
-        p.add_argument("--c1", required=True)
-        p.add_argument("--c2", required=True)
-        p.add_argument("--c3", default="0")
-
-    p = add_parser("serre", help="curve genus and c3 conversions")
-    direction = p.add_mutually_exclusive_group(required=True)
-    direction.add_argument("--to-c3", action="store_true")
-    direction.add_argument("--to-genus", action="store_true")
-    p.add_argument("--preset")
-    p.add_argument("--threefold")
-    p.add_argument("--det", required=True)
-    p.add_argument("--c2", required=True)
-    p.add_argument("--genus")
-    p.add_argument("--c3")
-
-    p = add_parser("ledger", help="Ext^1 dimension count from cohomology values")
-    p.add_argument("--h0-n", type=int, required=True)
-    p.add_argument("--h0-f", type=int, required=True)
-    p.add_argument("--h0-if", type=int, default=None)
-    p.add_argument("--h1-ic-zero", action="store_true")
-
-    p = add_parser("dzero", help="expected-dimension-zero search")
-    p.add_argument("--preset")
-    p.add_argument("--threefold")
-    p.add_argument("--k", default="-50..50", help="twist range lo..hi")
-    p.add_argument("--c", default="-50..50", help="curve-coordinate range lo..hi")
-    p.add_argument("--verify-paper", action="store_true")
-
-    p = add_parser("verify", help="verification suites")
-    p.add_argument("--suite", choices=["paper"])
-    p.add_argument("--tensor-formulas", action="store_true")
-    p.add_argument("--max-rank", type=int, default=4)
-    p.add_argument("--trials", type=int, default=100)
-
+    for name, command in COMMANDS.items():
+        _add_flags(sub.add_parser(name, parents=[common], help=command.help), command.flags)
     return parser
 
 
 def _payload_from_args(args: argparse.Namespace) -> Request:
-    command = args.command
+    command = COMMANDS[args.command]
     payload: dict[str, Any] = {}
-
-    def put_target() -> None:
-        if getattr(args, "preset", None):
-            payload["preset"] = args.preset
-        elif getattr(args, "threefold", None):
-            payload["threefold"] = _parse_json_flag(args.threefold, "--threefold")
-        else:
-            raise SchemaError(f"{command}: provide --preset or --threefold")
-
-    if command == "threefold":
-        if args.preset:
-            preset = parse_preset(args.preset)
-            payload = {"ambient": preset.ambient, "degrees": list(preset.degrees)}
-        else:
-            if args.ambient is None:
-                raise SchemaError("threefold: provide --preset or --ambient/--degrees")
-            degrees = [int(d) for d in _parse_vector(args.degrees or "")]
-            payload = {"ambient": args.ambient, "degrees": degrees}
-    elif command == "chern":
-        payload = {"op": args.op, "F": _parse_json_flag(args.f_doc, "--f")}
-        put_target()
-        if args.op == "tensor":
-            payload["E"] = _parse_json_flag(args.e_doc, "--e")
-        if args.op == "twist":
-            payload["L"] = _parse_vector(args.l)
-    elif command in ("chi", "moduli-dim"):
-        payload = {
-            "rank": args.rank,
-            "c1": _parse_vector(args.c1),
-            "c2": _parse_vector(args.c2),
-            "c3": args.c3,
-        }
-        put_target()
-    elif command == "serre":
-        payload = {
-            "direction": "to-c3" if args.to_c3 else "to-genus",
-            "det": _parse_vector(args.det),
-            "c2": _parse_vector(args.c2),
-        }
-        if args.to_c3:
-            if args.genus is None:
-                raise SchemaError("serre --to-c3 needs --genus")
-            payload["genus"] = args.genus
-        else:
-            if args.c3 is None:
-                raise SchemaError("serre --to-genus needs --c3")
-            payload["c3"] = args.c3
-        put_target()
-    elif command == "ledger":
-        payload = {"h0_N": args.h0_n, "h0_F": args.h0_f}
-        if args.h0_if is not None:
-            payload["h0_IF"] = args.h0_if
-        if args.h1_ic_zero:
-            payload["h1_IC_zero"] = True
-    elif command == "dzero":
-        if args.verify_paper:
-            payload = {"verify_paper": True}
-        else:
-            payload = {"k_range": _parse_range(args.k), "c_range": _parse_range(args.c)}
-            put_target()
-    elif command == "verify":
-        if args.suite == "paper":
-            payload = {"suite": "paper"}
-        elif args.tensor_formulas:
-            payload = {"tensor_formulas": True, "max_rank": args.max_rank, "trials": args.trials}
-        else:
-            raise SchemaError("verify: provide --suite paper or --tensor-formulas")
-        if args.seed is not None:
-            payload["seed"] = args.seed
-    else:
-        raise SchemaError("no command given (try --help)")
-
-    return Request(command, payload, "json" if args.json else "table")
+    given: dict[str, str] = {}  # payload key -> the flag that set it
+    for flag in command.flags:
+        value = getattr(args, flag.name.lstrip("-"))
+        if value is None:
+            continue
+        if flag.parse is not None:
+            value = flag.parse(value)
+        for key, field in ({flag.key: value} if flag.key else value).items():
+            if key in given:
+                raise SchemaError(f"{args.command}: give only one of {given[key]}, {flag.name}")
+            payload[key] = field
+            given[key] = flag.name
+    for message, rule in command.rules:
+        if not jsonschema.Draft202012Validator(rule).is_valid(payload):
+            raise SchemaError(message.format(command=args.command))
+    return Request(args.command, payload, "json" if args.json else "table")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -811,6 +687,13 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
             request = _payload_from_args(args)
         response = run(request)
+        rendered = (
+            response_json(response) if request.output_mode == "json" else response_table(response)
+        )
+        if args.out:
+            Path(args.out).write_text(rendered + "\n", encoding="utf-8")
+        else:
+            print(rendered, flush=True)
     except SchemaError as exc:
         print(f"SchemaError: {exc}", file=sys.stderr)
         return 2
@@ -820,14 +703,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"IOError: {exc}", file=sys.stderr)
         return 1
-
-    rendered = (
-        response_json(response) if request.output_mode == "json" else response_table(response)
-    )
-    if args.out:
-        Path(args.out).write_text(rendered + "\n", encoding="utf-8")
-    else:
-        print(rendered)
 
     if response.data.get("ok") is False:
         return 1

@@ -57,7 +57,7 @@ def _require_line_lattice(X: Threefold) -> CurveClass:
     if not X.curve_lattice or len(X.curve_lattice) != 1:
         raise MissingCurveLattice("declare exactly one curve lattice generator")
     generator = X.curve_lattice[0]
-    if generator.pairings[0] == 0:
+    if generator.coords[0] == 0:
         raise MissingCurveLattice("the lattice generator pairs to 0 with H")
     return generator
 

@@ -42,6 +42,3 @@ def rat_str(value: Fraction) -> str:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
-
-def is_integer(value: Fraction) -> bool:
-    return value.denominator == 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable
 
 from .chow import (
     CurveClass,
@@ -30,14 +30,6 @@ from .chow import (
 )
 from .errors import DegenerateLine, DimensionMismatch, InvalidInput, NonIntegralRank
 from .rationals import rat, rat_str
-
-
-def _as_div(value: DivClass | Sequence) -> DivClass:
-    return value if isinstance(value, DivClass) else DivClass(tuple(value))
-
-
-def _as_curve(value: CurveClass | Sequence) -> CurveClass:
-    return value if isinstance(value, CurveClass) else CurveClass(tuple(value))
 
 
 def _as_point(value: PointClass | int | str | Fraction) -> PointClass:
@@ -56,8 +48,8 @@ class ChernData:
     def __post_init__(self) -> None:
         if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
             raise InvalidInput(f"rank must be a positive integer, got {self.rank!r}")
-        object.__setattr__(self, "c1", _as_div(self.c1))
-        object.__setattr__(self, "c2", _as_curve(self.c2))
+        object.__setattr__(self, "c1", DivClass.of(self.c1))
+        object.__setattr__(self, "c2", CurveClass.of(self.c2))
         object.__setattr__(self, "c3", _as_point(self.c3))
 
 
@@ -72,8 +64,8 @@ class CharacterData:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ch0", rat(self.ch0))
-        object.__setattr__(self, "ch1", _as_div(self.ch1))
-        object.__setattr__(self, "ch2", _as_curve(self.ch2))
+        object.__setattr__(self, "ch1", DivClass.of(self.ch1))
+        object.__setattr__(self, "ch2", CurveClass.of(self.ch2))
         object.__setattr__(self, "ch3", _as_point(self.ch3))
 
 
@@ -176,7 +168,12 @@ def rr_intersections(X: Threefold, F: ChernData) -> tuple[tuple[str, Fraction], 
 
 def rr_terms(X: Threefold, F: ChernData) -> tuple[tuple[str, Fraction], ...]:
     """The eight weighted Riemann-Roch terms, in display order."""
-    numbers = dict(rr_intersections(X, F))
+    return rr_weigh(F.rank, rr_intersections(X, F))
+
+
+def rr_weigh(rank: int, numbers: Iterable[tuple[str, Fraction]]) -> tuple[tuple[str, Fraction], ...]:
+    """Weigh the output of ``rr_intersections`` into the eight terms."""
+    numbers = dict(numbers)
     values = (
         numbers["c1(F)^3"] / 6,
         -numbers["c1(F).c2(F)"] / 2,
@@ -184,7 +181,7 @@ def rr_terms(X: Threefold, F: ChernData) -> tuple[tuple[str, Fraction], ...]:
         numbers["c1(X).c1(F)^2"] / 4,
         numbers["c1(X)^2.c1(F)"] / 12,
         numbers["c2(X).c1(F)"] / 12,
-        Fraction(F.rank) * numbers["c1(X).c2(X)"] / 24,
+        Fraction(rank) * numbers["c1(X).c2(X)"] / 24,
         numbers["c3(F)"] / 2,
     )
     return tuple(zip(_RR_TERM_LABELS, values))
@@ -207,8 +204,8 @@ def slope(X: Threefold, F: ChernData, L: DivClass) -> Fraction:
 def chern_to_json(F: ChernData) -> dict:
     return {
         "rank": F.rank,
-        "c1": [rat_str(c) for c in F.c1.coeffs],
-        "c2": [rat_str(c) for c in F.c2.pairings],
+        "c1": [rat_str(c) for c in F.c1.coords],
+        "c2": [rat_str(c) for c in F.c2.coords],
         "c3": rat_str(F.c3.value),
     }
 

@@ -14,7 +14,7 @@ from chern3.chow import (
     todd_genus,
     triple,
 )
-from chern3.errors import AsymmetricForm, DimensionMismatch, IntegralityWarning
+from chern3.errors import AsymmetricForm, DimensionMismatch, IntegralityWarning, InvalidInput
 
 from conftest import random_div, random_rat, random_threefold
 
@@ -106,9 +106,21 @@ def test_exact_arithmetic_associativity_and_lowest_terms():
         a, b, c = (random_rat(rng, span=50, max_den=40) for _ in range(3))
         assert (a + b) + c == a + (b + c)
     stored = DivClass((Fraction(2, 4), "6/9"))
-    assert stored.coeffs[0] == Fraction(1, 2)
-    assert stored.coeffs[0].denominator == 2
-    assert stored.coeffs[1] == Fraction(2, 3)
+    assert stored.coords[0] == Fraction(1, 2)
+    assert stored.coords[0].denominator == 2
+    assert stored.coords[1] == Fraction(2, 3)
+
+
+def test_vector_arithmetic_keeps_type_and_rejects_mixing():
+    D, C = DivClass((1, 2)), CurveClass((3, 4))
+    assert 2 * D - D == D and type(-D) is DivClass
+    assert C + CurveClass.zero(2) == C and type(C * "1/2") is CurveClass
+    with pytest.raises(InvalidInput, match="CurveClass to DivClass"):
+        D + C
+    with pytest.raises(InvalidInput, match="DivClass to CurveClass"):
+        C - D
+    with pytest.raises(DimensionMismatch, match="CurveClass has length 1"):
+        C + CurveClass((1,))
 
 
 def test_triple_permutation_invariance():

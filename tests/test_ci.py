@@ -164,8 +164,8 @@ def test_rederiving_tangent_chern_from_threefold_fields():
         series = tangent_chern(preset)
         degree = math.prod(preset.degrees)
         assert X.T[0][0][0] == degree
-        assert X.c1X.coeffs[0] == series.c1
-        assert X.c2X.pairings[0] == series.c2 * degree
+        assert X.c1X.coords[0] == series.c1
+        assert X.c2X.coords[0] == series.c2 * degree
 
 
 def test_preset_validation():

@@ -301,3 +301,80 @@ def test_warnings_surface_in_response():
                               "det": ["1"], "c2": ["1"], "c3": "1"})
     assert resp.data["genus"] == "1/2"
     assert any("genus" in w for w in resp.data["warnings"])
+
+
+# ---------------------------------------------------------------- flags reach the payload
+
+
+def test_verify_paper_suite_passes_rank_and_trials(capsys):
+    assert main(["verify", "--suite", "paper", "--max-rank", "2", "--trials", "3", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["data"]["tensor_formulas"]
+    assert (report["max_rank"], report["trials"], len(report["pairs"])) == (2, 3, 4)
+
+
+@pytest.mark.parametrize("extra", [["--preset", "[2] in P4"], ["--k", "-3..3"], ["--c", "-3..3"]])
+def test_dzero_verify_paper_rejects_search_flags(capsys, extra):
+    assert main(["dzero", "--verify-paper", *extra]) == 2
+    assert capsys.readouterr().err.startswith("SchemaError: dzero: --verify-paper takes no")
+
+
+@pytest.mark.parametrize("extra", [{"preset": "[2] in P4"}, {"k_range": [-3, 3]}, {"c_range": [0, 1]}])
+def test_dzero_verify_paper_payload_rejects_search_keys(extra):
+    with pytest.raises(SchemaError):
+        run_json("dzero", {"verify_paper": True, **extra})
+
+
+def test_verify_suite_and_tensor_formulas_exclude_each_other(capsys):
+    assert main(["verify", "--suite", "paper", "--tensor-formulas"]) == 2
+    assert capsys.readouterr().err.startswith("SchemaError: verify:")
+    with pytest.raises(SchemaError):
+        run_json("verify", {"suite": "paper", "tensor_formulas": True})
+
+
+def test_seed_belongs_to_verify_only(capsys):
+    chi = ["chi", "--preset", "[2] in P4", "--rank", "2", "--c1", "1", "--c2", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(chi + ["--seed", "5"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "7", "verify", "--tensor-formulas", "--max-rank", "1", "--trials", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["verify", "--tensor-formulas", "--max-rank", "1", "--trials", "2", "--seed", "7", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["tensor_formulas"]["seed"] == 7
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["serre", "--to-c3", "--to-genus", "--preset", "[2] in P4", "--det", "1", "--c2", "1", "--genus", "0"],
+     "give only one of --to-c3, --to-genus"),
+    (["serre", "--to-c3", "--preset", "[2] in P4", "--det", "1", "--c2", "1", "--genus", "0", "--c3", "0"],
+     "give only one of --genus, --c3"),
+    (["threefold", "--ambient", "5", "--preset", "[2] in P4"], "give only one of --ambient, --preset"),
+    (["chern", "dual", "--preset", "[2] in P4", "--f", '{"rank":1,"c1":[0],"c2":[0],"c3":0}', "--l", "1"],
+     "and only twist, takes --l"),
+])
+def test_flags_the_command_would_ignore_are_rejected(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- output errors
+
+
+def test_main_out_to_missing_directory_is_an_io_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["threefold", "--preset", "[2] in P4", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("IOError: ")
+
+
+def test_main_closed_stdout_is_an_io_error(monkeypatch, capsys):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["threefold", "--preset", "[2] in P4", "--json"]) == 1
+    assert capsys.readouterr().err.startswith("IOError: [Errno 32] Broken pipe")

@@ -122,7 +122,7 @@ def test_tensor_matches_closed_form_on_quadric(quadric):
         E = random_chern(rng, quadric)
         F = random_chern(rng, quadric)
         scalar = lambda D: ScalarChern(
-            D.c1.coeffs[0], D.c2.pairings[0] / t, D.c3.value / t
+            D.c1.coords[0], D.c2.coords[0] / t, D.c3.value / t
         )
         predicted = tensor_closed_form(E.rank, F.rank, scalar(E), scalar(F))
         actual = scalar(tensor(quadric, E, F))
