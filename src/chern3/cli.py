@@ -17,6 +17,7 @@ Exit codes: 0 ok, 1 domain error (or a failing verification suite),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -340,6 +341,13 @@ def _parse_vector(text: str) -> list[str]:
     return [piece.strip() for piece in text.split(",") if piece.strip()]
 
 
+def _parse_degrees(text: str) -> list[int]:
+    try:
+        return [int(d) for d in _parse_vector(text)]
+    except ValueError:
+        raise SchemaError(f"degrees {text!r} must be comma-separated integers") from None
+
+
 def _parse_json_flag(text: str, label: str) -> dict:
     raw = text
     if not text.lstrip().startswith("{"):
@@ -420,7 +428,7 @@ COMMANDS: dict[str, Command] = {
     "threefold": Command("build a complete-intersection threefold model", _handle_threefold, (
         Flag("--ambient", "ambient", {"type": "integer", "minimum": 3}),
         Flag("--degrees", "degrees", {"type": "array", "items": {"type": "integer", "minimum": 1}},
-             lambda text: [int(d) for d in _parse_vector(text)],
+             _parse_degrees,
              help="comma-separated degrees, empty for none"),
         Flag("--preset", None, {"type": "string"}, _preset_fields, help=_PRESET_HELP),
     ), (("threefold: provide --preset or --ambient/--degrees", {"required": ["ambient"]}),)),
@@ -518,13 +526,44 @@ def _schema_message(exc: jsonschema.ValidationError) -> str:
     return f"{exc.message}" + (f" (at {path})" if path else "")
 
 
+@functools.cache
+def _validator(command: str | None, rule: int | None = None) -> Any:
+    """The validator of a command's payload schema, of its rule number ``rule``,
+    or, for no command, of the request document.
+
+    Built on first use and kept for the process.  ``check_schema`` runs once
+    here, which is what makes it cheaper than ``jsonschema.validate``: that
+    re-checks the schema against the metaschema on every call.
+    """
+    if command is None:
+        schema = REQUEST_SCHEMA
+    elif rule is None:
+        schema = PAYLOAD_SCHEMAS[command]
+    else:
+        schema = COMMANDS[command].rules[rule][1]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _first_error(
+    instance: dict, command: str | None, rule: int | None = None
+) -> jsonschema.ValidationError | None:
+    """The error ``jsonschema.validate`` would raise for this schema, or None."""
+    return jsonschema.exceptions.best_match(_validator(command, rule).iter_errors(instance))
+
+
 def validate_payload(command: str, payload: dict) -> None:
     if command not in PAYLOAD_SCHEMAS:
         raise SchemaError(f"unknown command {command!r}")
-    try:
-        jsonschema.validate(payload, PAYLOAD_SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"{command}: {_schema_message(exc)}") from None
+    error = _first_error(payload, command)
+    if error is None:
+        return
+    # An error inside allOf[i] breaks the command's rule i: name it as the CLI does.
+    where = error.absolute_schema_path
+    if len(where) > 1 and where[0] == "allOf":
+        raise SchemaError(COMMANDS[command].rules[where[1]][0].format(command=command))
+    raise SchemaError(f"{command}: {_schema_message(error)}")
 
 
 def load_config(path: str | Path) -> Request:
@@ -534,10 +573,9 @@ def load_config(path: str | Path) -> Request:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    try:
-        jsonschema.validate(doc, REQUEST_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"{path}: {_schema_message(exc)}") from None
+    error = _first_error(doc, None)
+    if error is not None:
+        raise SchemaError(f"{path}: {_schema_message(error)}")
     return Request(doc["command"], doc["payload"], doc.get("output_mode", "table"))
 
 
@@ -665,8 +703,8 @@ def _payload_from_args(args: argparse.Namespace) -> Request:
                 raise SchemaError(f"{args.command}: give only one of {given[key]}, {flag.name}")
             payload[key] = field
             given[key] = flag.name
-    for message, rule in command.rules:
-        if not jsonschema.Draft202012Validator(rule).is_valid(payload):
+    for i, (message, _) in enumerate(command.rules):
+        if _first_error(payload, args.command, i) is not None:
             raise SchemaError(message.format(command=args.command))
     return Request(args.command, payload, "json" if args.json else "table")
 

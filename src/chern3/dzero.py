@@ -30,6 +30,7 @@ from .errors import (
     InvalidInput,
     LimitExceeded,
     MissingCurveLattice,
+    SelfCheckFailed,
     UnsupportedPicardRank,
 )
 from .moduli import expected_dim
@@ -44,9 +45,12 @@ def _enum_cap() -> int:
     if raw is None:
         return _DEFAULT_ENUM_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise InvalidInput(f"{ENUM_CAP_ENV}={raw!r} is not an integer") from None
+        cap = 0  # rejected below with the same message
+    if cap <= 0:
+        raise InvalidInput(f"{ENUM_CAP_ENV}={raw!r} is not a positive integer")
+    return cap
 
 
 def _require_line_lattice(X: Threefold) -> CurveClass:
@@ -126,7 +130,9 @@ def dzero_condition(X: Threefold) -> tuple[Fraction, Fraction, Fraction]:
     for _ in range(3):
         k, c = rng.randint(-9, 9), rng.randint(-9, 9)
         if dim_at(k, c) != a * c + b * k * k + e:
-            raise RuntimeError("affine reduction of the expected dimension failed")
+            raise SelfCheckFailed(
+                "dzero affine reduction", f"expected_dim at ({k}, {c}) is off a c + b k^2 + e"
+            )
     return a, b, e
 
 
@@ -182,6 +188,25 @@ def _certificate_for_modulus_scan(B: int, E: int, moduli: list[int]) -> Obstruct
             )
             return Obstruction(kind, q, detail)
     return None
+
+
+def _grid_zeros(
+    a: Fraction, b: Fraction, e: Fraction, k_range: tuple[int, int], c_range: tuple[int, int]
+) -> list[tuple[int, int]]:
+    """Every (k, c) of the rectangle with a c + b k^2 + e = 0, in (k, c) order.
+
+    The independent dumb check behind every dzero verdict: it tests each
+    point, on integers it gets by clearing the denominators of (a, b, e)
+    itself, and never reads the normalized relation, so a fault in
+    _normalize or in the congruence solver cannot hide here.
+    """
+    scale = math.lcm(a.denominator, b.denominator, e.denominator)
+    ia, ib, ie = (x.numerator * (scale // x.denominator) for x in (a, b, e))
+    zeros = []
+    for k in range(k_range[0], k_range[1] + 1):
+        rest = ib * k * k + ie
+        zeros += [(k, c) for c in range(c_range[0], c_range[1] + 1) if ia * c + rest == 0]
+    return zeros
 
 
 def solve_dzero(problem: DZeroProblem) -> DZeroReport:
@@ -255,27 +280,21 @@ def solve_dzero(problem: DZeroProblem) -> DZeroReport:
             solvable = False
             obstruction = _certificate_for_modulus_scan(B, E, _divisors(A))
             if obstruction is None:  # cannot happen: q = A itself certifies
-                raise RuntimeError("complete congruence check found no certificate")
+                raise SelfCheckFailed("dzero congruence check", f"no certificate modulo {A}")
 
     witnesses.sort()
 
-    # Independent dumb check over the whole rectangle, in the original exact
-    # rationals rather than the normalized integers.
-    grid = [
-        (k, c)
-        for k in range(k_lo, k_hi + 1)
-        for c in range(c_lo, c_hi + 1)
-        if a * c + b * k * k + e == 0
-    ]
-    if grid != witnesses:
-        raise RuntimeError("exhaustive enumeration disagrees with the congruence solver")
+    if _grid_zeros(a, b, e, problem.k_range, problem.c_range) != witnesses:
+        raise SelfCheckFailed(
+            "dzero grid check", "exhaustive enumeration disagrees with the congruence solver"
+        )
 
     generator = _require_line_lattice(X)
     H = DivClass((Fraction(1),))
     for k, c in witnesses:
         data = ChernData(2, H * k, generator * c, PointClass(Fraction(0)))
         if expected_dim(X, data) != 0:
-            raise RuntimeError(f"witness ({k}, {c}) fails re-evaluation")
+            raise SelfCheckFailed("dzero witness check", f"witness ({k}, {c}) fails re-evaluation")
 
     return DZeroReport(
         condition=(a, b, e),

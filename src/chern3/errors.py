@@ -65,6 +65,19 @@ class ClaimViolation(Chern3Error):
         self.preset = preset
 
 
+class SelfCheckFailed(ClaimViolation):
+    """An internal self-check disagreed with the result it checks.
+
+    Like every ClaimViolation this is a bug in the build, never in the
+    inputs; ``check`` names the self-check and ``preset`` is None.
+    """
+
+    def __init__(self, check: str, message: str):
+        Chern3Error.__init__(self, f"{check}: {message}")
+        self.check = check
+        self.preset = None
+
+
 class EmptyRoots(Chern3Error):
     """Chern roots were requested for an empty root list."""
 

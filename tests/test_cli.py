@@ -1,15 +1,22 @@
 import json
 import re
 
+import jsonschema
 import pytest
 
+from chern3.chow import threefold_to_json
+from chern3.ci import CIPreset, build_ci
 from chern3.cli import (
+    PAYLOAD_SCHEMAS,
+    REQUEST_SCHEMA,
     Request,
+    _schema_message,
     load_config,
     main,
     response_json,
     response_table,
     run,
+    validate_payload,
 )
 from chern3.errors import SchemaError
 from chern3.rationals import rat
@@ -139,6 +146,58 @@ def test_schema_requires_exactly_one_target():
         run_json("chi", dict(payload, preset="[2] in P4", threefold=doc))
 
 
+@pytest.mark.parametrize("schema", [*PAYLOAD_SCHEMAS.values(), REQUEST_SCHEMA],
+                         ids=[*PAYLOAD_SCHEMAS, "request"])
+def test_schemas_pass_the_metaschema(schema):
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+QUADRIC_DOC = threefold_to_json(build_ci(CIPreset(4, (2,))))
+SHEAF = {"rank": 2, "c1": [1], "c2": [1]}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("chi", {"preset": "[2] in P4", **SHEAF, "c4": [1]}),
+    ("chi", {"preset": "[2] in P4", **SHEAF, "c1": ["1/0"]}),
+    ("chi", {"preset": "[2] in P4", **SHEAF, "c1": [1.5]}),
+    ("chi", {"preset": "[2] in P4", **SHEAF, "rank": "2"}),
+    ("chi", {"preset": "[2] in P4", **SHEAF, "schema": "2"}),
+    ("verify", {"tensor_formulas": True, "max_rank": 7}),
+    ("verify", {"suite": "paper", "max_rank": 0}),
+    ("chi", {"threefold": {**QUADRIC_DOC, "T": "2"}, **SHEAF}),
+    ("moduli-dim", {"threefold": {**QUADRIC_DOC, "extra": 1}, **SHEAF}),
+    ("dzero", {"threefold": {**QUADRIC_DOC, "c1X": ["1/2/3"]}}),
+    ("dzero", {"preset": "[2] in P4", "k_range": [1]}),
+    ("chern", {"op": "dual", "preset": "[2] in P4", "F": {"rank": 2, "c1": [1], "c3": 0}}),
+    ("threefold", {"ambient": 4, "degrees": [0]}),
+    ("ledger", {"h0_N": -1, "h0_F": 0}),
+])
+def test_validate_payload_reports_what_jsonschema_validate_raises(command, payload):
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(payload, PAYLOAD_SCHEMAS[command])
+    with pytest.raises(SchemaError) as got:
+        validate_payload(command, payload)
+    assert str(got.value) == f"{command}: {_schema_message(expected.value)}"
+
+
+@pytest.mark.parametrize("command, payload, argv", [
+    ("chi", {"preset": "[2] in P4", "threefold": QUADRIC_DOC, **SHEAF},
+     ["--preset", "[2] in P4", "--threefold", json.dumps(QUADRIC_DOC),
+      "--rank", "2", "--c1", "1", "--c2", "1"]),
+    ("chern", {"op": "dual", "preset": "[2] in P4", "F": {**SHEAF, "c3": 0}, "L": [1]},
+     ["dual", "--preset", "[2] in P4", "--f", json.dumps({**SHEAF, "c3": 0}), "--l", "1"]),
+    ("serre", {"preset": "[2] in P4", "det": [1], "c2": [1]},
+     ["--preset", "[2] in P4", "--det", "1", "--c2", "1"]),
+    ("dzero", {"verify_paper": True, "k_range": [-3, 3]}, ["--verify-paper", "--k", "-3..3"]),
+])
+def test_json_payload_names_the_failed_rule(capsys, command, payload, argv):
+    with pytest.raises(SchemaError) as exc:
+        run_json(command, payload)
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr().err == f"SchemaError: {exc.value}\n"
+    assert not str(exc.value).startswith(f"{command}: {{")
+
+
 def test_schema_version_field_accepted():
     payload = {"schema": "1", "preset": "[2] in P4", "rank": 2, "c1": [1], "c2": [1], "c3": "0"}
     assert run_json("chi", payload).data["chi"] == "4"
@@ -166,8 +225,11 @@ def test_load_config_round_trip(tmp_path):
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "request.json"
     path.write_text(json.dumps({"command": "chi", "payload": {}, "extra": 1}))
-    with pytest.raises(SchemaError, match="extra"):
+    with pytest.raises(SchemaError, match="extra") as got:
         load_config(path)
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(json.loads(path.read_text()), REQUEST_SCHEMA)
+    assert str(got.value) == f"{path}: {_schema_message(expected.value)}"
 
 
 def test_load_config_reports_position_on_bad_json(tmp_path):
@@ -356,6 +418,11 @@ def test_seed_belongs_to_verify_only(capsys):
 def test_flags_the_command_would_ignore_are_rejected(capsys, argv, message):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_threefold_degrees_must_be_integers(capsys):
+    assert main(["threefold", "--ambient", "4", "--degrees", "2,x"]) == 2
+    assert capsys.readouterr().err == "SchemaError: degrees '2,x' must be comma-separated integers\n"
 
 
 # ---------------------------------------------------------------- output errors

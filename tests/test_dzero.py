@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from chern3 import dzero
 from chern3.chow import DivClass, PointClass, make_threefold
 from chern3.ci import build_ci, parse_preset
+from chern3.cli import main
 from chern3.dzero import (
     DZeroProblem,
     dzero_condition,
@@ -13,9 +15,11 @@ from chern3.dzero import (
     verify_paper_claims,
 )
 from chern3.errors import (
+    ClaimViolation,
     InvalidInput,
     LimitExceeded,
     MissingCurveLattice,
+    SelfCheckFailed,
     UnsupportedPicardRank,
 )
 from chern3.moduli import expected_dim
@@ -145,6 +149,52 @@ def test_enumeration_cap(monkeypatch):
         solve_dzero(DZeroProblem(model("[2] in P4"), (-50, 50), (-50, 50)))
     monkeypatch.setenv("CHERN3_MAX_ENUM", "1000000")
     solve_dzero(DZeroProblem(model("[2] in P4"), (-5, 5), (-5, 5)))
+
+
+@pytest.mark.parametrize("raw", ["0", "-1", "x"])
+def test_enumeration_cap_must_be_a_positive_integer(monkeypatch, raw):
+    monkeypatch.setenv("CHERN3_MAX_ENUM", raw)
+    with pytest.raises(InvalidInput, match=f"CHERN3_MAX_ENUM='{raw}' is not a positive integer"):
+        solve_dzero(DZeroProblem(model("[2] in P4"), (0, 0), (0, 0)))
+
+
+def grid_model(name):
+    if name != "custom":
+        return model(name)
+    # (a, b, e) = (1/3, -1/8, 1/3): every coefficient has a denominator.
+    return make_threefold(["H"], ((("1/2",),),), ("1/2",), (8,), curve_lattice=(("1/3",),))
+
+
+@pytest.mark.parametrize("name", [*(claim[0] for claim in dzero._CLAIMS), "[5] in P4", "custom"])
+def test_integer_grid_equals_fraction_grid(name):
+    a, b, e = dzero_condition(grid_model(name))
+    k_range, c_range = (-20, 20), (-60, 60)
+    fraction_grid = [
+        (k, c)
+        for k in range(k_range[0], k_range[1] + 1)
+        for c in range(c_range[0], c_range[1] + 1)
+        if a * c + b * k * k + e == 0
+    ]
+    assert dzero._grid_zeros(a, b, e, k_range, c_range) == fraction_grid
+    if name == "custom":
+        assert all(x.denominator > 1 for x in (a, b, e)) and fraction_grid
+
+
+def test_grid_check_does_not_read_the_normalized_relation(monkeypatch, capsys):
+    normalize = dzero._normalize
+
+    def perturbed(a, b, e):
+        A, B, E = normalize(a, b, e)
+        return A, B, E + 1
+
+    monkeypatch.setattr(dzero, "_normalize", perturbed)
+    with pytest.raises(SelfCheckFailed, match="^dzero grid check: ") as exc:
+        solve_dzero(DZeroProblem(model("[2] in P4"), (-5, 5), (-5, 5)))
+    assert isinstance(exc.value, ClaimViolation)
+    assert main(["dzero", "--preset", "[2] in P4", "--k", "-5..5", "--c", "-5..5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("SelfCheckFailed: dzero grid check: ")
+    assert "Traceback" not in err
 
 
 def test_overridden_lattice_generator():
