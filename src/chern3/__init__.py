@@ -8,7 +8,6 @@ for vanishing expected dimension over integer twist lattices.
 from .chow import (
     CurveClass,
     DivClass,
-    PointClass,
     Threefold,
     make_threefold,
     mul_div_div,
@@ -59,15 +58,13 @@ from .errors import (
 )
 from .moduli import (
     CohomologyLedger,
-    ModuliReport,
     expected_dim,
     ext1_ledger,
     ext_euler,
-    moduli_report,
     serre_c3,
     serre_genus,
 )
-from .rationals import Rat, rat, rat_str
+from .rationals import rat, rat_str
 from .sheaf import (
     CharacterData,
     ChernData,

@@ -8,7 +8,8 @@ pieces:
 * ``DivClass``    codimension 1, a coefficient vector over the generators;
 * ``CurveClass``  codimension 2, identified with its vector of intersection
   numbers against the generators (numerical equivalence);
-* ``PointClass``  codimension 3, a single rational degree.
+* ``Fraction``    codimension 3, a point class as its rational degree;
+  ``pair_div_curve`` and ``triple`` return plain rationals.
 
 All coefficients are exact rationals and every value is immutable, so the
 operations below are pure functions that can be shared freely between
@@ -90,30 +91,6 @@ class DivClass(_ClassVector):
 
 class CurveClass(_ClassVector):
     """Codimension-2 class: intersection numbers against the generators."""
-
-
-@dataclass(frozen=True)
-class PointClass:
-    """Codimension-3 class: a rational degree."""
-
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", rat(self.value))
-
-    def __add__(self, other: PointClass) -> PointClass:
-        return PointClass(self.value + other.value)
-
-    def __sub__(self, other: PointClass) -> PointClass:
-        return PointClass(self.value - other.value)
-
-    def __neg__(self) -> PointClass:
-        return PointClass(-self.value)
-
-    def __mul__(self, scalar: int | str | Fraction) -> PointClass:
-        return PointClass(self.value * rat(scalar))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -262,21 +239,21 @@ def mul_div_div(X: Threefold, a: DivClass, b: DivClass) -> CurveClass:
     return CurveClass(tuple(pairings))
 
 
-def pair_div_curve(X: Threefold, a: DivClass, q: CurveClass) -> PointClass:
+def pair_div_curve(X: Threefold, a: DivClass, q: CurveClass) -> Fraction:
     """Intersection number of a divisor class with a curve class."""
     _check_len("divisor class", len(a), X.m)
     _check_len("curve class", len(q), X.m)
-    return PointClass(sum((ai * qi for ai, qi in zip(a.coords, q.coords)), Fraction(0)))
+    return sum((ai * qi for ai, qi in zip(a.coords, q.coords)), Fraction(0))
 
 
-def triple(X: Threefold, a: DivClass, b: DivClass, c: DivClass) -> PointClass:
+def triple(X: Threefold, a: DivClass, b: DivClass, c: DivClass) -> Fraction:
     """Triple intersection number of three divisor classes."""
     return pair_div_curve(X, a, mul_div_div(X, b, c))
 
 
 def todd_genus(X: Threefold) -> Fraction:
     """Euler characteristic of the structure sheaf: c1(X).c2(X) / 24."""
-    return pair_div_curve(X, X.c1X, X.c2X).value / 24
+    return pair_div_curve(X, X.c1X, X.c2X) / 24
 
 
 def threefold_to_json(X: Threefold) -> dict:
@@ -297,7 +274,7 @@ def threefold_from_json(doc: dict) -> Threefold:
     """Inverse of ``threefold_to_json``; the round trip is bit exact."""
     for key in ("generators", "T", "c1X", "c2X"):
         if key not in doc:
-            raise DimensionMismatch(f"threefold document is missing {key!r}")
+            raise InvalidInput(f"threefold document is missing {key!r}")
     return make_threefold(
         doc["generators"],
         doc["T"],

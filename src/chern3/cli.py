@@ -22,7 +22,8 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable
@@ -46,13 +47,7 @@ from .ci import (
     parse_preset,
     tangent_chern,
 )
-from .dzero import (
-    DZeroProblem,
-    DZeroReport,
-    PaperClaimsReport,
-    solve_dzero,
-    verify_paper_claims,
-)
+from .dzero import DZeroProblem, PaperClaimsReport, solve_dzero, verify_paper_claims
 from .errors import Chern3Error, SchemaError
 from .moduli import (
     CohomologyLedger,
@@ -62,9 +57,8 @@ from .moduli import (
     serre_c3,
     serre_genus,
 )
-from .rationals import rat, rat_str
+from .rationals import RAT_PATTERN, rat, rat_str
 from .sheaf import (
-    ChernData,
     chern_from_json,
     chern_to_json,
     discriminant,
@@ -74,11 +68,11 @@ from .sheaf import (
     tensor,
     twist,
 )
-from .splitting import TensorFormulaReport, verify_tensor_formulas
+from .splitting import verify_tensor_formulas
 
 SCHEMA_VERSION = "1"
 
-_RAT = {"type": ["integer", "string"], "pattern": "^-?[0-9]+(/[1-9][0-9]*)?$"}
+_RAT = {"type": ["integer", "string"], "pattern": RAT_PATTERN}
 _RAT_VEC = {"type": "array", "items": _RAT, "minItems": 1}
 _RANGE = {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2}
 _VERSION = {"const": SCHEMA_VERSION}
@@ -125,10 +119,6 @@ def _resolve_threefold(payload: dict) -> tuple[Threefold, str]:
     return threefold_from_json(payload["threefold"]), "custom threefold"
 
 
-def _sheaf_from_flat(payload: dict) -> ChernData:
-    return ChernData(payload["rank"], payload["c1"], payload["c2"], payload.get("c3", 0))
-
-
 def _handle_threefold(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     preset = CIPreset(payload["ambient"], tuple(payload.get("degrees", ())))
     chern = tangent_chern(preset)
@@ -164,7 +154,7 @@ def _handle_chern(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
 
 def _handle_chi(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     X, label = _resolve_threefold(payload)
-    F = _sheaf_from_flat(payload)
+    F = chern_from_json(payload)
     numbers = rr_intersections(X, F)
     terms = rr_weigh(F.rank, numbers)
     total = sum((v for _, v in terms), start=rat(0))
@@ -181,10 +171,10 @@ def _handle_chi(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
 
 def _handle_moduli_dim(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     X, label = _resolve_threefold(payload)
-    F = _sheaf_from_flat(payload)
+    F = chern_from_json(payload)
     delta = discriminant(X, F)
-    c1c2 = pair_div_curve(X, X.c1X, X.c2X).value
-    c1_delta = pair_div_curve(X, X.c1X, delta).value
+    c1c2 = pair_div_curve(X, X.c1X, X.c2X)
+    c1_delta = pair_div_curve(X, X.c1X, delta)
     chi_ext = ext_euler(X, F)
     dim = expected_dim(X, F)
     audit = [("c1(X).c2(X)", rat_str(c1c2))]
@@ -227,33 +217,21 @@ def _handle_ledger(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     return {"ext1": ext1_ledger(ledger)}, []
 
 
-def _dzero_report_json(report: DZeroReport) -> dict:
-    a, b, e = report.condition
-    return {
-        "condition": {"a": rat_str(a), "b": rat_str(b), "e": rat_str(e)},
-        "normalized": {
-            "A": report.normalized[0],
-            "B": report.normalized[1],
-            "E": report.normalized[2],
-        },
-        "relation": report.relation,
-        "solvable": report.solvable,
-        "modulus": report.modulus,
-        "residues": list(report.residues) if report.residues is not None else None,
-        "obstruction": (
-            {
-                "kind": report.obstruction.kind,
-                "modulus": report.obstruction.modulus,
-                "description": report.obstruction.description,
-            }
-            if report.obstruction is not None
-            else None
-        ),
-        "witnesses": [[k, c] for k, c in report.witnesses],
-        "k_range": list(report.k_range),
-        "c_range": list(report.c_range),
-        "grid_checked": report.grid_checked,
-    }
+_SCALARS = (type(None), bool, int, str)
+
+
+def _wire(value: Any) -> Any:
+    """A report as JSON data: dataclasses and named tuples become objects in
+    field order, other tuples lists, and Fractions "p/q" strings."""
+    if type(value) in _SCALARS:
+        return value
+    if type(value) is tuple:
+        return [_wire(item) for item in value]
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, tuple):
+        return dict(zip(value._fields, map(_wire, value)))
+    return {f.name: _wire(getattr(value, f.name)) for f in fields(value)}
 
 
 def _claims_json(claims: PaperClaimsReport) -> dict:
@@ -285,33 +263,7 @@ def _handle_dzero(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     k_range = tuple(payload.get("k_range", (-50, 50)))
     c_range = tuple(payload.get("c_range", (-50, 50)))
     report = solve_dzero(DZeroProblem(X, k_range, c_range))
-    return {"threefold": label, **_dzero_report_json(report)}, []
-
-
-def _tensor_report_json(report: TensorFormulaReport) -> dict:
-    return {
-        "max_rank": report.max_rank,
-        "trials": report.trials,
-        "seed": report.seed,
-        "ok": report.ok,
-        "pairs": [
-            {
-                "r1": pair.r1,
-                "r2": pair.r2,
-                "passed": pair.passed,
-                "grid_checks": pair.grid_checks,
-                "counterexample": (
-                    {
-                        "rootsE": [rat_str(r) for r in pair.counterexample.spec.rootsE],
-                        "rootsF": [rat_str(r) for r in pair.counterexample.spec.rootsF],
-                    }
-                    if pair.counterexample is not None
-                    else None
-                ),
-            }
-            for pair in report.pairs
-        ],
-    }
+    return {"threefold": label, **_wire(report)}, []
 
 
 def _handle_verify(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
@@ -320,7 +272,7 @@ def _handle_verify(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
         trials=payload.get("trials", 100),
         seed=payload.get("seed", 42),
     )
-    report = _tensor_report_json(formulas)
+    report = _wire(formulas)
     if "suite" not in payload:
         return {"ok": formulas.ok, "tensor_formulas": report}, []
     claims = _claims_json(verify_paper_claims())

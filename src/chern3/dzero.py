@@ -22,8 +22,9 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .chow import CurveClass, DivClass, PointClass, Threefold
+from .chow import CurveClass, DivClass, Threefold
 from .ci import build_ci, parse_preset
 from .errors import (
     ClaimViolation,
@@ -92,12 +93,28 @@ class Obstruction:
     description: str
 
 
+class Condition(NamedTuple):
+    """Rationals with expected_dim = a c + b k^2 + e."""
+
+    a: Fraction
+    b: Fraction
+    e: Fraction
+
+
+class Normalized(NamedTuple):
+    """The condition as coprime integers A c + B k^2 + E = 0, leading sign positive."""
+
+    A: int
+    B: int
+    E: int
+
+
 @dataclass(frozen=True)
 class DZeroReport:
     """Affine condition, solvability verdict, and in-range witnesses."""
 
-    condition: tuple[Fraction, Fraction, Fraction]
-    normalized: tuple[int, int, int]
+    condition: Condition
+    normalized: Normalized
     relation: str
     solvable: bool
     modulus: int | None
@@ -109,7 +126,12 @@ class DZeroReport:
     grid_checked: bool
 
 
-def dzero_condition(X: Threefold) -> tuple[Fraction, Fraction, Fraction]:
+def _dim_at(X: Threefold, generator: CurveClass, k: int, c: int) -> Fraction:
+    """expected_dim of the rank-2 data with c1 = k H, c2 = c l and c3 = 0."""
+    return expected_dim(X, ChernData(2, DivClass((k,)), generator * c, 0))
+
+
+def dzero_condition(X: Threefold) -> Condition:
     """Rationals (a, b, e) with expected_dim = a c + b k^2 + e identically.
 
     Extracted by evaluating expected_dim at (0,0), (0,1), (1,0) and verified
@@ -117,26 +139,20 @@ def dzero_condition(X: Threefold) -> tuple[Fraction, Fraction, Fraction]:
     dimension formula stopped being affine in (c, k^2), which cannot happen.
     """
     generator = _require_line_lattice(X)
-    H = DivClass((Fraction(1),))
-
-    def dim_at(k: int, c: int) -> Fraction:
-        data = ChernData(2, H * k, generator * c, PointClass(Fraction(0)))
-        return expected_dim(X, data)
-
-    e = dim_at(0, 0)
-    a = dim_at(0, 1) - e
-    b = dim_at(1, 0) - e
+    e = _dim_at(X, generator, 0, 0)
+    a = _dim_at(X, generator, 0, 1) - e
+    b = _dim_at(X, generator, 1, 0) - e
     rng = random.Random(97)
     for _ in range(3):
         k, c = rng.randint(-9, 9), rng.randint(-9, 9)
-        if dim_at(k, c) != a * c + b * k * k + e:
+        if _dim_at(X, generator, k, c) != a * c + b * k * k + e:
             raise SelfCheckFailed(
                 "dzero affine reduction", f"expected_dim at ({k}, {c}) is off a c + b k^2 + e"
             )
-    return a, b, e
+    return Condition(a, b, e)
 
 
-def _normalize(a: Fraction, b: Fraction, e: Fraction) -> tuple[int, int, int]:
+def _normalize(a: Fraction, b: Fraction, e: Fraction) -> Normalized:
     """Clear denominators and divide by the gcd; sign fixed so A >= 0 leads."""
     scale = math.lcm(a.denominator, b.denominator, e.denominator)
     A, B, E = (int(x * scale) for x in (a, b, e))
@@ -146,7 +162,7 @@ def _normalize(a: Fraction, b: Fraction, e: Fraction) -> tuple[int, int, int]:
     lead = next((x for x in (A, B, E) if x != 0), 0)
     if lead < 0:
         A, B, E = -A, -B, -E
-    return A, B, E
+    return Normalized(A, B, E)
 
 
 def relation_str(normalized: tuple[int, int, int]) -> str:
@@ -228,8 +244,8 @@ def solve_dzero(problem: DZeroProblem) -> DZeroReport:
             f"rectangle has {points} lattice points, above the {ENUM_CAP_ENV} cap {cap}"
         )
 
-    a, b, e = dzero_condition(X)
-    A, B, E = _normalize(a, b, e)
+    a, b, e = condition = dzero_condition(X)
+    A, B, E = normalized = _normalize(a, b, e)
 
     solvable: bool
     modulus: int | None = None
@@ -290,16 +306,14 @@ def solve_dzero(problem: DZeroProblem) -> DZeroReport:
         )
 
     generator = _require_line_lattice(X)
-    H = DivClass((Fraction(1),))
     for k, c in witnesses:
-        data = ChernData(2, H * k, generator * c, PointClass(Fraction(0)))
-        if expected_dim(X, data) != 0:
+        if _dim_at(X, generator, k, c) != 0:
             raise SelfCheckFailed("dzero witness check", f"witness ({k}, {c}) fails re-evaluation")
 
     return DZeroReport(
-        condition=(a, b, e),
-        normalized=(A, B, E),
-        relation=relation_str((A, B, E)),
+        condition=condition,
+        normalized=normalized,
+        relation=relation_str(normalized),
         solvable=solvable,
         modulus=modulus,
         residues=residues,

@@ -31,8 +31,8 @@ def ext_euler(X: Threefold, F: ChernData) -> Fraction:
     Equals r^2 c1(X).c2(X)/24 - c1(X).Delta(F)/2, which depends on F only
     through its discriminant and is therefore twist invariant.
     """
-    toddish = pair_div_curve(X, X.c1X, X.c2X).value
-    delta = pair_div_curve(X, X.c1X, discriminant(X, F)).value
+    toddish = pair_div_curve(X, X.c1X, X.c2X)
+    delta = pair_div_curve(X, X.c1X, discriminant(X, F))
     return Fraction(F.rank**2) * toddish / 24 - delta / 2
 
 
@@ -59,8 +59,8 @@ def serre_c3(X: Threefold, detF: DivClass, c2F: CurveClass, genus: Fraction | in
     return (
         2 * g
         - 2
-        + pair_div_curve(X, X.c1X, c2F).value
-        - pair_div_curve(X, detF, c2F).value
+        + pair_div_curve(X, X.c1X, c2F)
+        - pair_div_curve(X, detF, c2F)
     )
 
 
@@ -74,8 +74,8 @@ def serre_genus(X: Threefold, detF: DivClass, c2F: CurveClass, c3: Fraction | in
     g = (
         value
         + 2
-        - pair_div_curve(X, X.c1X, c2F).value
-        + pair_div_curve(X, detF, c2F).value
+        - pair_div_curve(X, X.c1X, c2F)
+        + pair_div_curve(X, detF, c2F)
     ) / 2
     if g.denominator != 1 or g < 0:
         warnings.warn(
@@ -102,12 +102,11 @@ class CohomologyLedger:
     h1_IC_zero: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("h0_N", "h0_F"):
+        counts = ("h0_N", "h0_F") + (() if self.h0_IF is None else ("h0_IF",))
+        for name in counts:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise InvalidInput(f"{name} must be a nonnegative integer, got {value!r}")
-        if self.h0_IF is not None and (not isinstance(self.h0_IF, int) or self.h0_IF < 0):
-            raise InvalidInput(f"h0_IF must be a nonnegative integer, got {self.h0_IF!r}")
         if self.h1_IC_zero and self.h0_IF is not None and self.h0_IF != 1:
             raise InvalidInput("H1(I_C) = 0 forces h0(I_C (x) F) = 1, but ledger says "
                                f"{self.h0_IF}")
@@ -127,17 +126,3 @@ def ext1_ledger(ledger: CohomologyLedger) -> int:
             f"h0(N) - h0(F) + h0(I_C (x) F) = {value} < 0; the ledger is inconsistent"
         )
     return value
-
-
-@dataclass(frozen=True)
-class ModuliReport:
-    """Ext Euler characteristic and expected dimension for one sheaf datum."""
-
-    threefold_label: str
-    sheaf: ChernData
-    ext_euler: Fraction
-    expected_dim: Fraction
-
-
-def moduli_report(X: Threefold, F: ChernData, label: str = "") -> ModuliReport:
-    return ModuliReport(label, F, ext_euler(X, F), expected_dim(X, F))

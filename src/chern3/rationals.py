@@ -8,16 +8,24 @@ rejected everywhere so no value is ever silently rounded.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import InvalidInput
 
-Rat = Fraction
+# The wire form of a rational, as a JSON-schema ``pattern``: "n" or "p/q".
+RAT_PATTERN = "^-?[0-9]+(/[1-9][0-9]*)?$"
+_RAT_RE = re.compile(RAT_PATTERN)
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, a "p/q" string, or a Fraction to an exact Fraction."""
+    """Coerce an int, a "p/q" string, or a Fraction to an exact Fraction.
+
+    A string must match ``RAT_PATTERN``, tested as a JSON-schema validator
+    tests a ``pattern``, so the API accepts exactly the strings the CLI
+    schema does.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -25,10 +33,9 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInput(f"cannot parse rational {value!r}: {exc}") from None
+        if not _RAT_RE.search(value):
+            raise InvalidInput(f"cannot parse rational {value!r}: expected 'p/q' or 'n'")
+        return Fraction(value)
     raise InvalidInput(f"expected int, 'p/q' string or Fraction, got {type(value).__name__}")
 
 

@@ -19,21 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .chow import (
-    CurveClass,
-    DivClass,
-    PointClass,
-    Threefold,
-    mul_div_div,
-    pair_div_curve,
-    triple,
-)
+from .chow import CurveClass, DivClass, Threefold, mul_div_div, pair_div_curve, triple
 from .errors import DegenerateLine, DimensionMismatch, InvalidInput, NonIntegralRank
 from .rationals import rat, rat_str
-
-
-def _as_point(value: PointClass | int | str | Fraction) -> PointClass:
-    return value if isinstance(value, PointClass) else PointClass(rat(value))
 
 
 @dataclass(frozen=True)
@@ -43,14 +31,14 @@ class ChernData:
     rank: int
     c1: DivClass
     c2: CurveClass
-    c3: PointClass
+    c3: Fraction
 
     def __post_init__(self) -> None:
         if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
             raise InvalidInput(f"rank must be a positive integer, got {self.rank!r}")
         object.__setattr__(self, "c1", DivClass.of(self.c1))
         object.__setattr__(self, "c2", CurveClass.of(self.c2))
-        object.__setattr__(self, "c3", _as_point(self.c3))
+        object.__setattr__(self, "c3", rat(self.c3))
 
 
 @dataclass(frozen=True)
@@ -60,13 +48,13 @@ class CharacterData:
     ch0: Fraction
     ch1: DivClass
     ch2: CurveClass
-    ch3: PointClass
+    ch3: Fraction
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ch0", rat(self.ch0))
         object.__setattr__(self, "ch1", DivClass.of(self.ch1))
         object.__setattr__(self, "ch2", CurveClass.of(self.ch2))
-        object.__setattr__(self, "ch3", _as_point(self.ch3))
+        object.__setattr__(self, "ch3", rat(self.ch3))
 
 
 def _check_on(X: Threefold, F: ChernData) -> None:
@@ -129,7 +117,7 @@ def dual(X: Threefold, F: ChernData) -> ChernData:
 
 def twist(X: Threefold, F: ChernData, L: DivClass) -> ChernData:
     """Tensor with the line-bundle data (1, L, 0, 0)."""
-    line = ChernData(1, L, CurveClass.zero(X.m), PointClass(Fraction(0)))
+    line = ChernData(1, L, CurveClass.zero(X.m), 0)
     return tensor(X, F, line)
 
 
@@ -155,14 +143,14 @@ def rr_intersections(X: Threefold, F: ChernData) -> tuple[tuple[str, Fraction], 
     """The intersection numbers feeding the Riemann-Roch expression."""
     _check_on(X, F)
     return (
-        ("c1(F)^3", triple(X, F.c1, F.c1, F.c1).value),
-        ("c1(F).c2(F)", pair_div_curve(X, F.c1, F.c2).value),
-        ("c1(X).c2(F)", pair_div_curve(X, X.c1X, F.c2).value),
-        ("c1(X).c1(F)^2", triple(X, X.c1X, F.c1, F.c1).value),
-        ("c1(X)^2.c1(F)", triple(X, X.c1X, X.c1X, F.c1).value),
-        ("c2(X).c1(F)", pair_div_curve(X, F.c1, X.c2X).value),
-        ("c1(X).c2(X)", pair_div_curve(X, X.c1X, X.c2X).value),
-        ("c3(F)", F.c3.value),
+        ("c1(F)^3", triple(X, F.c1, F.c1, F.c1)),
+        ("c1(F).c2(F)", pair_div_curve(X, F.c1, F.c2)),
+        ("c1(X).c2(F)", pair_div_curve(X, X.c1X, F.c2)),
+        ("c1(X).c1(F)^2", triple(X, X.c1X, F.c1, F.c1)),
+        ("c1(X)^2.c1(F)", triple(X, X.c1X, X.c1X, F.c1)),
+        ("c2(X).c1(F)", pair_div_curve(X, F.c1, X.c2X)),
+        ("c1(X).c2(X)", pair_div_curve(X, X.c1X, X.c2X)),
+        ("c3(F)", F.c3),
     )
 
 
@@ -195,10 +183,10 @@ def euler_char(X: Threefold, F: ChernData) -> Fraction:
 def slope(X: Threefold, F: ChernData, L: DivClass) -> Fraction:
     """Normalized degree c1(F).L^2 / (rank * L^3) used in stability comparisons."""
     _check_on(X, F)
-    volume = triple(X, L, L, L).value
+    volume = triple(X, L, L, L)
     if volume == 0:
         raise DegenerateLine("slope is undefined: L^3 = 0")
-    return triple(X, F.c1, L, L).value / (F.rank * volume)
+    return triple(X, F.c1, L, L) / (F.rank * volume)
 
 
 def chern_to_json(F: ChernData) -> dict:
@@ -206,9 +194,10 @@ def chern_to_json(F: ChernData) -> dict:
         "rank": F.rank,
         "c1": [rat_str(c) for c in F.c1.coords],
         "c2": [rat_str(c) for c in F.c2.coords],
-        "c3": rat_str(F.c3.value),
+        "c3": rat_str(F.c3),
     }
 
 
 def chern_from_json(doc: dict) -> ChernData:
-    return ChernData(doc["rank"], doc["c1"], doc["c2"], doc["c3"])
+    """Inverse of ``chern_to_json``; a missing ``c3`` is 0."""
+    return ChernData(doc["rank"], doc["c1"], doc["c2"], doc.get("c3", 0))

@@ -131,22 +131,20 @@ class Counterexample:
 class RankPairResult:
     r1: int
     r2: int
-    random_trials: int
-    grid_checks: int
     passed: bool
-    counterexample: Counterexample | None = None
+    grid_checks: int
+    counterexample: Counterexample | None
 
 
 @dataclass(frozen=True)
 class TensorFormulaReport:
+    """``ok`` is true when every rank pair passed."""
+
     max_rank: int
     trials: int
     seed: int
+    ok: bool
     pairs: tuple[RankPairResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(p.passed for p in self.pairs)
 
 
 def _grid_patterns(rank: int) -> tuple[tuple[int, ...], ...]:
@@ -222,6 +220,6 @@ def verify_tensor_formulas(
                     if counterexample is not None:
                         break
             pairs.append(
-                RankPairResult(r1, r2, trials, grid_checks, counterexample is None, counterexample)
+                RankPairResult(r1, r2, counterexample is None, grid_checks, counterexample)
             )
-    return TensorFormulaReport(max_rank, trials, seed, tuple(pairs))
+    return TensorFormulaReport(max_rank, trials, seed, all(p.passed for p in pairs), tuple(pairs))

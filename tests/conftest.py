@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chern3.chow import CurveClass, DivClass, PointClass, Threefold, make_threefold
+from chern3.chow import CurveClass, DivClass, Threefold, make_threefold
 from chern3.ci import CIPreset, build_ci
 from chern3.sheaf import ChernData
 
@@ -69,4 +69,4 @@ def random_curve(rng: random.Random, X: Threefold) -> CurveClass:
 
 def random_chern(rng: random.Random, X: Threefold, rank: int | None = None) -> ChernData:
     rank = rank or rng.randint(1, 4)
-    return ChernData(rank, random_div(rng, X), random_curve(rng, X), PointClass(random_rat(rng)))
+    return ChernData(rank, random_div(rng, X), random_curve(rng, X), random_rat(rng))

@@ -73,19 +73,21 @@ def test_mul_div_div_bilinear(p3):
 
 
 def test_pair_div_curve_quadric(quadric):
-    assert pair_div_curve(quadric, quadric.c1X, quadric.c2X).value == 24
+    assert pair_div_curve(quadric, quadric.c1X, quadric.c2X) == 24
 
 
 def test_pair_div_curve_ci23(ci23):
-    assert pair_div_curve(ci23, ci23.c1X, ci23.c2X).value == 24
-    assert pair_div_curve(ci23, DivClass((0,)), ci23.c2X).value == 0
+    assert pair_div_curve(ci23, ci23.c1X, ci23.c2X) == 24
+    assert pair_div_curve(ci23, DivClass((0,)), ci23.c2X) == 0
 
 
 def test_triple_degrees(quadric, ci23, p3):
     h = DivClass((1,))
-    assert triple(quadric, h, h, h).value == 2
-    assert triple(ci23, h, h, h).value == 6
-    assert triple(p3, h, h, DivClass((-1,))).value == -1
+    assert triple(quadric, h, h, h) == 2
+    assert triple(ci23, h, h, h) == 6
+    assert triple(p3, h, h, DivClass((-1,))) == -1
+    assert type(triple(quadric, h, h, h)) is Fraction
+    assert type(pair_div_curve(quadric, h, quadric.c2X)) is Fraction
 
 
 def test_todd_genus_values(quadric, quintic, p3):
@@ -158,6 +160,14 @@ def test_json_round_trip_random_models():
     for _ in range(20):
         X = random_threefold(rng)
         assert threefold_from_json(threefold_to_json(X)) == X
+
+
+@pytest.mark.parametrize("key", ["generators", "T", "c1X", "c2X"])
+def test_threefold_document_missing_key(quadric, key):
+    doc = threefold_to_json(quadric)
+    del doc[key]
+    with pytest.raises(InvalidInput, match=f"^threefold document is missing '{key}'$"):
+        threefold_from_json(doc)
 
 
 def test_fractional_rationals_round_trip():

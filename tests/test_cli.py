@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -10,7 +11,9 @@ from chern3.cli import (
     PAYLOAD_SCHEMAS,
     REQUEST_SCHEMA,
     Request,
+    _RAT,
     _schema_message,
+    _wire,
     load_config,
     main,
     response_json,
@@ -18,8 +21,9 @@ from chern3.cli import (
     run,
     validate_payload,
 )
-from chern3.errors import SchemaError
+from chern3.errors import InvalidInput, SchemaError
 from chern3.rationals import rat
+from chern3.splitting import ScalarChern, tensor_closed_form, verify_tensor_formulas
 
 
 def run_json(command, payload):
@@ -132,6 +136,21 @@ def test_schema_rejects_floats_and_bad_rationals():
     payload["c1"] = ["1/0"]
     with pytest.raises(SchemaError):
         run_json("chi", payload)
+
+
+@pytest.mark.parametrize("text", ["1e3", " 0.5 ", "1.5", "+2", "01/02", "1/0", "", "1/-2"])
+def test_rat_rejects_strings_outside_the_wire_pattern(text):
+    with pytest.raises(InvalidInput, match="cannot parse rational"):
+        rat(text)
+    assert not jsonschema.Draft202012Validator(_RAT).is_valid(text)
+
+
+@pytest.mark.parametrize("value, want", [("7", 7), ("-3/4", Fraction(-3, 4)), ("6/4", Fraction(3, 2)),
+                                         (5, 5), (Fraction(2, 3), Fraction(2, 3))])
+def test_rat_accepts_the_wire_pattern(value, want):
+    assert rat(value) == want
+    if isinstance(value, str):
+        assert jsonschema.Draft202012Validator(_RAT).is_valid(value)
 
 
 def test_schema_requires_exactly_one_target():
@@ -445,3 +464,23 @@ def test_main_closed_stdout_is_an_io_error(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdout", ClosedPipe())
     assert main(["threefold", "--preset", "[2] in P4", "--json"]) == 1
     assert capsys.readouterr().err.startswith("IOError: [Errno 32] Broken pipe")
+
+
+def test_wire_renders_a_tensor_counterexample_as_rationals():
+    def flipped(r1, r2, cE, cF):
+        good = tensor_closed_form(r1, r2, cE, cF)
+        return ScalarChern(good.c1, good.c2 - 2 * r2 * cE.c2, good.c3)
+
+    report = verify_tensor_formulas(max_rank=2, trials=5, seed=42, closed_form=flipped)
+    doc = json.loads(json.dumps(_wire(report)))
+    assert doc["ok"] is False and list(doc) == ["max_rank", "trials", "seed", "ok", "pairs"]
+    pair = next(p for p in doc["pairs"] if not p["passed"])
+    assert list(pair) == ["r1", "r2", "passed", "grid_checks", "counterexample"]
+    counterexample = pair["counterexample"]
+    assert list(counterexample) == ["spec", "closed_form", "from_roots"]
+    assert list(counterexample["spec"]) == ["rootsE", "rootsF"]
+    assert list(counterexample["closed_form"]) == ["c1", "c2", "c3"]
+    leaves = [*counterexample["spec"]["rootsE"], *counterexample["spec"]["rootsF"],
+              *counterexample["closed_form"].values(), *counterexample["from_roots"].values()]
+    assert all(isinstance(x, str) and re.fullmatch(r"-?\d+(/\d+)?", x) for x in leaves)
+    assert counterexample["closed_form"] != counterexample["from_roots"]

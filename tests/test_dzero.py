@@ -1,10 +1,11 @@
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
 
 from chern3 import dzero
-from chern3.chow import DivClass, PointClass, make_threefold
+from chern3.chow import DivClass, make_threefold
 from chern3.ci import build_ci, parse_preset
 from chern3.cli import main
 from chern3.dzero import (
@@ -16,9 +17,11 @@ from chern3.dzero import (
 )
 from chern3.errors import (
     ClaimViolation,
+    IntegralityWarning,
     InvalidInput,
     LimitExceeded,
     MissingCurveLattice,
+    RedundantDegreeWarning,
     SelfCheckFailed,
     UnsupportedPicardRank,
 )
@@ -39,7 +42,7 @@ def brute_force_witnesses(X, k_range, c_range):
     out = []
     for k in range(k_range[0], k_range[1] + 1):
         for c in range(c_range[0], c_range[1] + 1):
-            F = ChernData(2, H * k, ell * c, PointClass(Fraction(0)))
+            F = ChernData(2, H * k, ell * c, Fraction(0))
             if expected_dim(X, F) == 0:
                 out.append((k, c))
     return out
@@ -70,7 +73,7 @@ def test_condition_matches_expected_dim_at_random_points():
         ell = X.curve_lattice[0]
         for _ in range(25):
             k, c = rng.randint(-20, 20), rng.randint(-20, 20)
-            F = ChernData(2, H * k, ell * c, PointClass(Fraction(0)))
+            F = ChernData(2, H * k, ell * c, Fraction(0))
             assert expected_dim(X, F) == a * c + b * k * k + e
 
 
@@ -91,6 +94,9 @@ def test_solve_quadric_witnesses():
     assert report.relation == "2c = k^2 + 1"
     assert report.modulus == 2 and report.residues == (1,)
     assert set(report.witnesses) == {(1, 1), (-1, 1), (3, 5), (-3, 5)}
+    assert report.normalized == (2, -1, -1) and report.normalized.A == 2
+    a, b, e = report.condition
+    assert (a, b, e) == (6, -3, -3) and report.condition.a == 6
 
 
 def test_solve_cubic_mod4_obstruction():
@@ -123,7 +129,7 @@ def test_every_witness_reevaluates_to_zero():
         report = solve_dzero(DZeroProblem(X, (-50, 50), (-50, 50)))
         assert report.witnesses
         for k, c in report.witnesses:
-            F = ChernData(2, H * k, ell * c, PointClass(Fraction(0)))
+            F = ChernData(2, H * k, ell * c, Fraction(0))
             assert expected_dim(X, F) == 0
 
 
@@ -138,7 +144,8 @@ def test_problem_validation():
     no_lattice = make_threefold(["H"], (((2,),),), (3,), (8,))
     with pytest.raises(MissingCurveLattice):
         DZeroProblem(no_lattice, (0, 1), (0, 1))
-    degenerate = make_threefold(["H"], (((2,),),), (3,), (8,), curve_lattice=((0,),))
+    with pytest.warns(IntegralityWarning):
+        degenerate = make_threefold(["H"], (((2,),),), (3,), (8,), curve_lattice=((0,),))
     with pytest.raises(MissingCurveLattice):
         DZeroProblem(degenerate, (0, 1), (0, 1))
 
@@ -167,7 +174,8 @@ def grid_model(name):
 
 @pytest.mark.parametrize("name", [*(claim[0] for claim in dzero._CLAIMS), "[5] in P4", "custom"])
 def test_integer_grid_equals_fraction_grid(name):
-    a, b, e = dzero_condition(grid_model(name))
+    with pytest.warns(RedundantDegreeWarning) if name == "[1] in P4" else nullcontext():
+        a, b, e = dzero_condition(grid_model(name))
     k_range, c_range = (-20, 20), (-60, 60)
     fraction_grid = [
         (k, c)
@@ -220,7 +228,8 @@ def test_relation_rendering():
 
 
 def test_verify_paper_claims_full_run():
-    report = verify_paper_claims()
+    with pytest.warns(RedundantDegreeWarning):
+        report = verify_paper_claims()
     assert len(report.entries) == 7
     assert report.solvable_count == 2
     assert report.certificate_count == 5

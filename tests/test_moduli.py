@@ -16,7 +16,6 @@ from chern3.moduli import (
     expected_dim,
     ext1_ledger,
     ext_euler,
-    moduli_report,
     serre_c3,
     serre_genus,
 )
@@ -72,13 +71,6 @@ def test_expected_dim_is_one_minus_ext_euler():
 def test_expected_dim_rejects_other_ranks(quadric):
     with pytest.raises(RankUnsupported):
         expected_dim(quadric, ChernData(3, (1,), (1,), 0))
-
-
-def test_moduli_report(quadric):
-    rep = moduli_report(quadric, ChernData(2, (1,), (1,), 0), label="[2] in P4")
-    assert rep.ext_euler == 1
-    assert rep.expected_dim == 0
-    assert rep.threefold_label == "[2] in P4"
 
 
 # ---------------------------------------------------------------- Serre
@@ -157,3 +149,10 @@ def test_ledger_invariant_h1_forces_h0_IF_one():
     assert ext1_ledger(ledger) == 0
     with pytest.raises(InvalidInput):
         CohomologyLedger(h0_N=-1, h0_F=0)
+
+
+@pytest.mark.parametrize("field", ["h0_N", "h0_F", "h0_IF"])
+def test_ledger_rejects_bool_counts(field):
+    counts = {"h0_N": 2, "h0_F": 3, "h0_IF": 1, field: True}
+    with pytest.raises(InvalidInput, match=f"^{field} must be a nonnegative integer, got True$"):
+        CohomologyLedger(**counts)

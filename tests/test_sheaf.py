@@ -7,7 +7,6 @@ import pytest
 from chern3.chow import (
     CurveClass,
     DivClass,
-    PointClass,
     mul_div_div,
     pair_div_curve,
     todd_genus,
@@ -36,7 +35,7 @@ from conftest import random_chern, random_div, random_threefold
 
 
 def line_bundle(X, coeffs):
-    return ChernData(1, DivClass(coeffs), CurveClass.zero(X.m), PointClass(Fraction(0)))
+    return ChernData(1, DivClass(coeffs), CurveClass.zero(X.m), Fraction(0))
 
 
 def structure_sheaf(X):
@@ -52,14 +51,14 @@ def test_to_character_trivial(quadric):
         2,
         DivClass((0,)),
         CurveClass((0,)),
-        PointClass(Fraction(0)),
+        Fraction(0),
     )
 
 
 def test_to_character_quadric_golden(quadric):
     ch = to_character(quadric, ChernData(2, (1,), (1,), 0))
     assert ch.ch2 == CurveClass((0,))
-    assert ch.ch3 == PointClass(Fraction(-1, 6))
+    assert ch.ch3 == Fraction(-1, 6)
 
 
 def test_to_character_line_bundle_exponential(quadric):
@@ -67,7 +66,7 @@ def test_to_character_line_bundle_exponential(quadric):
     # pairings are 2/2 = 1 and degree 2/6 = 1/3
     ch = to_character(quadric, line_bundle(quadric, (1,)))
     assert ch.ch2 == CurveClass((1,))
-    assert ch.ch3 == PointClass(Fraction(1, 3))
+    assert ch.ch3 == Fraction(1, 3)
 
 
 def test_from_character_round_trips(quadric):
@@ -79,7 +78,7 @@ def test_from_character_round_trips(quadric):
 
 
 def test_from_character_rejects_non_integral_rank(quadric):
-    bad = CharacterData(Fraction(3, 2), DivClass((0,)), CurveClass((0,)), PointClass(0))
+    bad = CharacterData(Fraction(3, 2), DivClass((0,)), CurveClass((0,)), 0)
     with pytest.raises(NonIntegralRank):
         from_character(quadric, bad)
 
@@ -101,7 +100,7 @@ def test_tensor_quadric_golden(quadric):
     assert out.rank == 4
     assert out.c1 == DivClass((4,))
     assert out.c2 == CurveClass((14,))
-    assert out.c3 == PointClass(Fraction(12))
+    assert out.c3 == Fraction(12)
 
 
 def test_tensor_commutative_and_associative():
@@ -122,7 +121,7 @@ def test_tensor_matches_closed_form_on_quadric(quadric):
         E = random_chern(rng, quadric)
         F = random_chern(rng, quadric)
         scalar = lambda D: ScalarChern(
-            D.c1.coords[0], D.c2.coords[0] / t, D.c3.value / t
+            D.c1.coords[0], D.c2.coords[0] / t, D.c3 / t
         )
         predicted = tensor_closed_form(E.rank, F.rank, scalar(E), scalar(F))
         actual = scalar(tensor(quadric, E, F))
@@ -284,14 +283,14 @@ def test_euler_char_matches_todd_class_route():
         F = random_chern(rng, X)
         ch = to_character(X, F)
         todd_route = (
-            ch.ch3.value
-            + pair_div_curve(X, X.c1X, ch.ch2).value / 2
+            ch.ch3
+            + pair_div_curve(X, X.c1X, ch.ch2) / 2
             + (
-                triple(X, X.c1X, X.c1X, ch.ch1).value
-                + pair_div_curve(X, ch.ch1, X.c2X).value
+                triple(X, X.c1X, X.c1X, ch.ch1)
+                + pair_div_curve(X, ch.ch1, X.c2X)
             )
             / 12
-            + ch.ch0 * pair_div_curve(X, X.c1X, X.c2X).value / 24
+            + ch.ch0 * pair_div_curve(X, X.c1X, X.c2X) / 24
         )
         assert euler_char(X, F) == todd_route
 
@@ -304,7 +303,7 @@ def test_to_character_is_left_inverse_too():
             Fraction(rng.randint(1, 5)),
             random_div(rng, X),
             CurveClass(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(X.m))),
-            PointClass(Fraction(rng.randint(-9, 9), rng.randint(1, 4))),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
         )
         assert to_character(X, from_character(X, ch)) == ch
 
@@ -315,9 +314,9 @@ def test_chi_duality_identity():
         X = random_threefold(rng)
         F = random_chern(rng, X)
         lhs = euler_char(X, F) + euler_char(X, dual(X, F))
-        c1x_c2f = pair_div_curve(X, X.c1X, F.c2).value
-        c1x_c1f2 = pair_div_curve(X, X.c1X, mul_div_div(X, F.c1, F.c1)).value
-        c1x_c2x = pair_div_curve(X, X.c1X, X.c2X).value
+        c1x_c2f = pair_div_curve(X, X.c1X, F.c2)
+        c1x_c1f2 = pair_div_curve(X, X.c1X, mul_div_div(X, F.c1, F.c1))
+        c1x_c2x = pair_div_curve(X, X.c1X, X.c2X)
         rhs = -c1x_c2f + Fraction(1, 2) * c1x_c1f2 + Fraction(F.rank, 12) * c1x_c2x
         assert lhs == rhs
 
@@ -348,3 +347,13 @@ def test_chern_json_round_trip(quadric):
     doc = chern_to_json(F)
     assert doc == {"rank": 2, "c1": ["1/2"], "c2": ["3"], "c3": "-4/7"}
     assert chern_from_json(doc) == F
+    del doc["c3"]
+    assert chern_from_json(doc).c3 == 0
+
+
+@pytest.mark.parametrize("c3, value", [(-3, -3), ("-3/4", Fraction(-3, 4)), (Fraction(5, 7), Fraction(5, 7))])
+def test_c3_is_a_plain_fraction(c3, value):
+    F = ChernData(2, (1,), (1,), c3)
+    assert type(F.c3) is Fraction and F.c3 == value
+    ch = CharacterData(2, (1,), (1,), c3)
+    assert type(ch.ch3) is Fraction and ch.ch3 == value
