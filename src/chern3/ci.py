@@ -152,7 +152,8 @@ def build_ci(p: CIPreset) -> Threefold:
     )
 
 
-_PRESET_RE = re.compile(r"^\[\s*(?P<degrees>\d+(?:\s*,\s*\d+)*)?\s*\]\s+in\s+P(?P<ambient>\d+)$")
+# ASCII digits only: "\d" would also take digits such as "٢", which int() parses.
+_PRESET_RE = re.compile(r"^\[\s*(?P<degrees>[0-9]+(?:\s*,\s*[0-9]+)*)?\s*\]\s+in\s+P(?P<ambient>[0-9]+)$")
 
 
 def parse_preset(name: str) -> CIPreset:

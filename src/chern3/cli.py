@@ -279,11 +279,12 @@ def _handle_verify(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     return {"suite": "paper", "ok": formulas.ok, "claims": claims, "tensor_formulas": report}, []
 
 
-_RANGE_FLAG = re.compile(r"^-?\d+\.\.-?\d+$")
+# ASCII digits only: "\d" would also take digits such as "١", which int() parses.
+_RANGE_FLAG = re.compile(r"-?[0-9]+\.\.-?[0-9]+")
 
 
 def _parse_range(text: str) -> list[int]:
-    if not _RANGE_FLAG.match(text):
+    if not _RANGE_FLAG.fullmatch(text):
         raise SchemaError(f"range {text!r} must look like -10..10")
     lo, hi = text.split("..")
     return [int(lo), int(hi)]
@@ -441,7 +442,7 @@ COMMANDS: dict[str, Command] = {
         Flag("--suite", "suite", {"enum": ["paper"]}),
         Flag("--tensor-formulas", "tensor_formulas", {"const": True}, const=True),
         Flag("--max-rank", "max_rank", {"type": "integer", "minimum": 1, "maximum": 6}),
-        Flag("--trials", "trials", {"type": "integer", "minimum": 1}),
+        Flag("--trials", "trials", {"type": "integer", "minimum": 1, "maximum": 1000}),
         Flag("--seed", "seed", {"type": "integer"}, help="seed for randomized verification"),
     ), (
         ("verify: provide --suite paper or --tensor-formulas", _one_of("suite", "tensor_formulas")),

@@ -15,16 +15,18 @@ from typing import Iterable
 from .errors import InvalidInput
 
 # The wire form of a rational, as a JSON-schema ``pattern``: "n" or "p/q".
-RAT_PATTERN = "^-?[0-9]+(/[1-9][0-9]*)?$"
+# Python's "$" also matches before a final newline, where ECMA-262's does
+# not; "(?!\n)" makes both dialects, and jsonschema's ``re.search``, reject
+# "7\n".
+RAT_PATTERN = r"^-?[0-9]+(/[1-9][0-9]*)?$(?!\n)"
 _RAT_RE = re.compile(RAT_PATTERN)
 
 
 def rat(value: int | str | Fraction) -> Fraction:
     """Coerce an int, a "p/q" string, or a Fraction to an exact Fraction.
 
-    A string must match ``RAT_PATTERN``, tested as a JSON-schema validator
-    tests a ``pattern``, so the API accepts exactly the strings the CLI
-    schema does.
+    A string must match ``RAT_PATTERN`` as a whole, so the API accepts
+    exactly the strings the CLI schema does.
     """
     if isinstance(value, Fraction):
         return value
@@ -33,7 +35,7 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RAT_RE.search(value):
+        if not _RAT_RE.fullmatch(value):
             raise InvalidInput(f"cannot parse rational {value!r}: expected 'p/q' or 'n'")
         return Fraction(value)
     raise InvalidInput(f"expected int, 'p/q' string or Fraction, got {type(value).__name__}")

@@ -1,17 +1,23 @@
-"""Independent verification of the closed-form tensor Chern-class formulas.
-
-By the splitting principle, any polynomial identity in the Chern classes of
-two bundles may be certified by specializing their Chern roots to rational
-numbers: the identity in question has degree at most 3 in at most 8 root
-variables, so agreement at a few hundred random rational points makes a
-false positive vanishingly improbable, and exact Fraction arithmetic rules
-out rounding artifacts entirely.  A fixed grid of small-integer root
-patterns is checked as well so that failures replay without a seed.
+"""Proof and replayable checks of the closed-form tensor Chern-class formulas.
 
 ``tensor_closed_form`` transcribes the rank-by-rank closed formulas for
-c_i(E (x) F); ``tensor_from_roots`` computes the same classes directly as
-elementary symmetric polynomials of the summed roots.  The two routes are
-independent, which is the point: each one certifies the other.
+c_i(E (x) F); ``tensor_from_roots`` computes the same classes directly, by
+the splitting principle, as elementary symmetric polynomials of the summed
+Chern roots.  The two routes are independent, which is the point: each one
+certifies the other.
+
+``verify_tensor_formulas`` proves the identity for each rank pair: it runs
+both routes on the r1 + r2 Chern roots taken as variables, in ``RootPoly``
+(integer polynomials truncated above total degree 3), and compares every
+coefficient.  Both sides of c_i are homogeneous of degree i <= 3, so the
+truncation drops nothing and equal coefficients are a proof for that pair.
+The same identity is then evaluated at 36 fixed small-integer root patterns
+and at seeded random rational points: replayable samples that show a wrong
+formula as concrete numbers.  Samples run on ints, since each c_i is
+homogeneous of degree i: scaling a rational point by the lcm D of its
+denominators gives an integer point where both sides are multiplied by D^i.
+A disagreement is confirmed at the rational point with ``Fraction``
+arithmetic before it is reported.
 """
 
 from __future__ import annotations
@@ -19,26 +25,106 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Callable, Sequence
+from itertools import chain
+from math import comb, lcm
+from typing import Callable, Iterator, Sequence
 
 from .errors import EmptyRoots, InvalidInput, LimitExceeded
 from .rationals import rat, rats
 
 _ROOT_BOUND = 10**6
+_MAX_TRIALS = 1000
+
+
+class RootPoly:
+    """An integer polynomial in Chern-root variables, truncated above degree 3.
+
+    ``terms`` maps each monomial to a nonzero coefficient.  A monomial is an
+    int: bits 0-1 hold its degree and bits 2i+2, 2i+3 the exponent of
+    variable i, so the product of two monomials is the sum of their keys
+    whenever the degrees add up to at most 3.  Ints act as constants, and a
+    product drops every monomial of degree above 3.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[int, int]) -> None:
+        self.terms = terms
+
+    @classmethod
+    def variable(cls, index: int) -> RootPoly:
+        return cls({1 + (1 << 2 * index + 2): 1})
+
+    def __add__(self, other: RootPoly | int) -> RootPoly:
+        terms = dict(self.terms)
+        for mono, coeff in _terms(other).items():
+            total = terms.get(mono, 0) + coeff
+            if total:
+                terms[mono] = total
+            else:
+                del terms[mono]
+        return RootPoly(terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: RootPoly | int) -> RootPoly:
+        return self + RootPoly({mono: -coeff for mono, coeff in _terms(other).items()})
+
+    def __mul__(self, other: RootPoly | int) -> RootPoly:
+        if type(other) is int:
+            return RootPoly({mono: coeff * other for mono, coeff in self.terms.items()} if other else {})
+        other_terms = _terms(other).items()
+        terms: dict[int, int] = {}
+        for mono_a, coeff_a in self.terms.items():
+            room = 3 - (mono_a & 3)
+            for mono_b, coeff_b in other_terms:
+                if mono_b & 3 <= room:
+                    mono = mono_a + mono_b
+                    terms[mono] = terms.get(mono, 0) + coeff_a * coeff_b
+        return RootPoly({mono: coeff for mono, coeff in terms.items() if coeff})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> RootPoly:
+        result = RootPoly({0: 1})
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, (RootPoly, int)) and self.terms == _terms(other)
+
+
+def _terms(value: RootPoly | int) -> dict[int, int]:
+    if isinstance(value, RootPoly):
+        return value.terms
+    if type(value) is not int:
+        raise TypeError(f"RootPoly coefficients are ints, got {type(value).__name__}")
+    return {0: value} if value else {}
+
+
+# A commutative ring the tensor formulas are evaluated in.
+Scalar = int | Fraction | RootPoly
+_SCALAR_TYPES = (int, Fraction, RootPoly)
 
 
 @dataclass(frozen=True)
 class ScalarChern:
-    """Chern classes specialized to scalars (products are plain multiplication)."""
+    """Chern classes specialized to a commutative ring: ints, Fractions or ``RootPoly``.
 
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
+    A "p/q" string from the API is parsed to a Fraction; other values are
+    kept as they are, and floats and bools are rejected.
+    """
+
+    c1: Scalar
+    c2: Scalar
+    c3: Scalar
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "c3"):
-            object.__setattr__(self, name, rat(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) not in _SCALAR_TYPES:
+                object.__setattr__(self, name, rat(value))
 
 
 @dataclass(frozen=True)
@@ -58,12 +144,15 @@ class RootSpec:
                 raise InvalidInput(f"root {root} exceeds the 10^6 size bound")
 
 
-def _elementary_symmetric(roots: Sequence[Fraction]) -> tuple[Fraction, Fraction, Fraction]:
-    e = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
+def _elementary_symmetric(roots: Sequence[Scalar]) -> tuple[Scalar, Scalar, Scalar]:
+    e1: Scalar = 0
+    e2: Scalar = 0
+    e3: Scalar = 0
     for r in roots:
-        for i in (3, 2, 1):
-            e[i] += r * e[i - 1]
-    return e[1], e[2], e[3]
+        e3 += r * e2
+        e2 += r * e1
+        e1 += r
+    return e1, e2, e3
 
 
 def chern_from_roots(roots: Sequence[Fraction | int | str]) -> ScalarChern:
@@ -83,13 +172,15 @@ def tensor_from_roots(spec: RootSpec) -> ScalarChern:
 def tensor_closed_form(r1: int, r2: int, cE: ScalarChern, cF: ScalarChern) -> ScalarChern:
     """Closed-form c_i(E (x) F) for rank(E) = r1, rank(F) = r2.
 
-    Binomial coefficients C(r, k) vanish for r < k, which makes the
-    formulas uniform over all ranks >= 1.  The c3(E) and c3(F)
-    contributions carry the complementary rank alone: specializing F to a
-    trivial bundle of rank r2 turns the product into the direct sum of r2
-    copies of E, whose total Chern class is c(E)^r2, so c3(E) enters with
-    coefficient exactly r2 (column-by-column, the multinomial expansion of
-    c(E)^r2 contributes r2 c3 + r2(r2-1) c1 c2 + C(r2,3) c1^3 in degree 3).
+    Every coefficient is an integer, so the classes may lie in any
+    commutative ring.  Binomial coefficients C(r, k) vanish for r < k, which
+    makes the formulas uniform over all ranks >= 1, and (r - 1)(n - 2) is
+    always even.  The c3(E) and c3(F) contributions carry the complementary
+    rank alone: specializing F to a trivial bundle of rank r2 turns the
+    product into the direct sum of r2 copies of E, whose total Chern class
+    is c(E)^r2, so c3(E) enters with coefficient exactly r2
+    (column-by-column, the multinomial expansion of c(E)^r2 contributes
+    r2 c3 + r2(r2-1) c1 c2 + C(r2,3) c1^3 in degree 3).
     """
     if r1 < 1 or r2 < 1:
         raise InvalidInput("ranks must be positive")
@@ -109,8 +200,8 @@ def tensor_closed_form(r1: int, r2: int, cE: ScalarChern, cF: ScalarChern) -> Sc
         comb(r2, 3) * c1E**3
         + 2 * comb(r2, 2) * c1E * c2E
         + (n - 2) * c1E * c2F
-        + Fraction(r2 - 1, 2) * (n - 2) * c1E**2 * c1F
-        + Fraction(r1 - 1, 2) * (n - 2) * c1E * c1F**2
+        + ((r2 - 1) * (n - 2)) // 2 * c1E**2 * c1F
+        + ((r1 - 1) * (n - 2)) // 2 * c1E * c1F**2
         + (n - 2) * c2E * c1F
         + 2 * comb(r1, 2) * c1F * c2F
         + comb(r1, 3) * c1F**3
@@ -118,6 +209,9 @@ def tensor_closed_form(r1: int, r2: int, cE: ScalarChern, cF: ScalarChern) -> Sc
         + r1 * c3F
     )
     return ScalarChern(c1, c2, c3)
+
+
+ClosedForm = Callable[[int, int, ScalarChern, ScalarChern], ScalarChern]
 
 
 @dataclass(frozen=True)
@@ -160,37 +254,76 @@ def _grid_patterns(rank: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _random_spec(rng: random.Random, r1: int, r2: int) -> RootSpec:
-    def draw(rank: int) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(rank)
-        )
+_GRID_CHECKS = 36  # 6 patterns for E times 6 for F
 
-    return RootSpec(draw(r1), draw(r2))
+# A sample point: integer roots, E's first, and the common denominator that
+# turns them back into the rational roots they scale.
+Point = tuple[Sequence[int], int]
 
 
-def _check_spec(
-    spec: RootSpec, closed_form: Callable[[int, int, ScalarChern, ScalarChern], ScalarChern]
-) -> Counterexample | None:
-    cE = chern_from_roots(spec.rootsE)
-    cF = chern_from_roots(spec.rootsF)
-    predicted = closed_form(len(spec.rootsE), len(spec.rootsF), cE, cF)
+def _grid_points(r1: int, r2: int) -> Iterator[Point]:
+    for pe in _grid_patterns(r1):
+        for pf in _grid_patterns(r2):
+            yield pe + pf, 1
+
+
+def _random_points(rng: random.Random, n_roots: int, trials: int) -> Iterator[Point]:
+    for _ in range(trials):
+        draws = [(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(n_roots)]
+        scale = lcm(*[q for _, q in draws])
+        yield [p * (scale // q) for p, q in draws], scale
+
+
+def _agrees(form: ClosedForm, r1: int, r2: int, rootsE: Sequence[Scalar], rootsF: Sequence[Scalar]) -> bool:
+    """Whether both routes give the same classes for these roots."""
+    cE = ScalarChern(*_elementary_symmetric(rootsE))
+    cF = ScalarChern(*_elementary_symmetric(rootsF))
+    predicted = form(r1, r2, cE, cF)
+    summed = [a + b for a in rootsE for b in rootsF]
+    return (predicted.c1, predicted.c2, predicted.c3) == _elementary_symmetric(summed)
+
+
+def _proved(form: ClosedForm, r1: int, r2: int) -> bool:
+    """Compare the two routes coefficient by coefficient, roots as variables."""
+    roots = [RootPoly.variable(i) for i in range(r1 + r2)]
+    return _agrees(form, r1, r2, roots[:r1], roots[r1:])
+
+
+def _counterexample(form: ClosedForm, r1: int, r2: int, point: Point) -> Counterexample | None:
+    """Check a point on its integer roots; confirm a disagreement in Fractions.
+
+    The confirmation runs at the rational point through the public
+    ``Fraction`` path, which also builds the reported counterexample.
+    """
+    roots, scale = point
+    if _agrees(form, r1, r2, roots[:r1], roots[r1:]):
+        return None
+    spec = RootSpec(
+        tuple(Fraction(x, scale) for x in roots[:r1]),
+        tuple(Fraction(x, scale) for x in roots[r1:]),
+    )
+    predicted = form(r1, r2, chern_from_roots(spec.rootsE), chern_from_roots(spec.rootsF))
     actual = tensor_from_roots(spec)
-    if predicted != actual:
-        return Counterexample(spec, predicted, actual)
-    return None
+    if predicted == actual:
+        return None
+    # A form may return int classes; the report carries Fractions either way.
+    return Counterexample(spec, ScalarChern(*rats((predicted.c1, predicted.c2, predicted.c3))), actual)
 
 
 def verify_tensor_formulas(
     max_rank: int = 4,
     trials: int = 100,
     seed: int = 42,
-    closed_form: Callable[[int, int, ScalarChern, ScalarChern], ScalarChern] | None = None,
+    closed_form: ClosedForm | None = None,
 ) -> TensorFormulaReport:
-    """Randomized plus fixed-grid identity check over all rank pairs up to max_rank.
+    """Prove, then sample, the closed form for every rank pair up to max_rank.
 
+    ``closed_form`` must work over any commutative ring (ints, Fractions and
+    ``RootPoly``), as ``tensor_closed_form`` does.  A pair passes when the
+    proof, all 36 grid points and all ``trials`` random points agree.
     Identity failures are report content, never exceptions; the first
-    counterexample per rank pair is recorded so a red run replays directly.
+    sampled counterexample per rank pair is recorded so a red run replays
+    directly (a pair refuted by the proof alone has none).
     """
     if max_rank < 1:
         raise InvalidInput("max_rank must be at least 1")
@@ -198,28 +331,23 @@ def verify_tensor_formulas(
         raise LimitExceeded("max_rank is capped at 6 to keep runs in seconds")
     if trials < 1:
         raise InvalidInput("trials must be at least 1")
+    if trials > _MAX_TRIALS:
+        raise LimitExceeded(f"trials is capped at {_MAX_TRIALS} to keep runs in seconds")
     form = closed_form if closed_form is not None else tensor_closed_form
 
     pairs = []
     for r1 in range(1, max_rank + 1):
         for r2 in range(1, max_rank + 1):
+            proved = _proved(form, r1, r2)
             rng = random.Random(seed * 10007 + r1 * 101 + r2)
-            counterexample = None
-            grid_checks = 0
-            for pe in _grid_patterns(r1):
-                for pf in _grid_patterns(r2):
-                    grid_checks += 1
-                    counterexample = _check_spec(RootSpec(pe, pf), form)
-                    if counterexample is not None:
-                        break
+            checked, counterexample = 0, None
+            for point in chain(_grid_points(r1, r2), _random_points(rng, r1 + r2, trials)):
+                checked += 1
+                counterexample = _counterexample(form, r1, r2, point)
                 if counterexample is not None:
                     break
-            if counterexample is None:
-                for _ in range(trials):
-                    counterexample = _check_spec(_random_spec(rng, r1, r2), form)
-                    if counterexample is not None:
-                        break
+            passed = proved and counterexample is None
             pairs.append(
-                RankPairResult(r1, r2, counterexample is None, grid_checks, counterexample)
+                RankPairResult(r1, r2, passed, min(checked, _GRID_CHECKS), counterexample)
             )
     return TensorFormulaReport(max_rank, trials, seed, all(p.passed for p in pairs), tuple(pairs))

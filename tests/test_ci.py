@@ -200,6 +200,12 @@ def test_parse_and_format_preset():
         parse_preset("quadric")
 
 
+@pytest.mark.parametrize("name", ["[\u0662] in P4", "[2] in P\u0664"])
+def test_presets_take_ascii_digits_only(name):
+    with pytest.raises(InvalidInput, match="cannot parse preset"):
+        parse_preset(name)
+
+
 def test_every_catalogued_preset_parses_and_builds():
     import warnings
 

@@ -153,6 +153,30 @@ def test_rat_accepts_the_wire_pattern(value, want):
         assert jsonschema.Draft202012Validator(_RAT).is_valid(value)
 
 
+def test_a_trailing_newline_is_not_a_rational(capsys):
+    # Python's "$" matches before a final newline; rat and the schema must not
+    with pytest.raises(InvalidInput, match="cannot parse rational"):
+        rat("7\n")
+    assert not jsonschema.Draft202012Validator(_RAT).is_valid("7\n")
+    payload = {"preset": "[2] in P4", "rank": 2, "c1": [1], "c2": ["1\n"], "c3": "0"}
+    with pytest.raises(SchemaError, match="c2/0"):
+        run_json("chi", payload)
+    assert main(["chi", "--preset", "[2] in P4", "--rank", "2", "--c1", "1", "--c2", "1", "--c3", "7\n"]) == 2
+    assert capsys.readouterr().err.startswith("SchemaError: chi: '7\\n'")
+
+
+@pytest.mark.parametrize("text", ["\u0661..\u0663", "1..3\n", "-\u0662..2"])
+def test_range_flags_take_ascii_digits_only(text, capsys):
+    assert main(["dzero", "--preset", "[2] in P4", "--k", text]) == 2
+    assert capsys.readouterr().err.startswith("SchemaError: range ")
+
+
+def test_trials_flag_is_capped(capsys):
+    assert main(["verify", "--tensor-formulas", "--max-rank", "1", "--trials", "1001"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "SchemaError: verify: 1001 is greater than the maximum of 1000 (at trials)")
+
+
 def test_schema_requires_exactly_one_target():
     from chern3.chow import threefold_to_json
     from chern3.ci import CIPreset, build_ci

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chern3.chow import CurveClass, DivClass
+from chern3.ci import CIPreset, build_ci
 from chern3.errors import (
     InsufficientLedger,
     IntegralityWarning,
@@ -101,6 +104,18 @@ def test_serre_round_trip():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegralityWarning)
             assert serre_genus(X, det, c2F, c3) == genus
+
+
+P3 = build_ci(CIPreset(3, ()))
+
+
+@given(st.integers(-20, 20), st.integers(-50, 50), st.integers(0, 100))
+def test_hartshorne_anchor_on_p3(c1, c2, g):
+    # c3 = 2g - 2 + c2(4 - c1) for rank 2 on P3 (Hartshorne, Math. Ann. 254, 1980)
+    c3 = 2 * g - 2 + c2 * (4 - c1)
+    det, c2F = DivClass((c1,)), CurveClass((c2,))
+    assert serre_c3(P3, det, c2F, g) == c3
+    assert serre_genus(P3, det, c2F, c3) == g
 
 
 def test_serre_c3_affine_slope_two(quadric):
