@@ -20,13 +20,10 @@ from .chow import (
 from .ci import (
     CanonicalType,
     CIPreset,
-    TruncSeries,
     build_ci,
     classify,
     format_preset,
     parse_preset,
-    series_inv,
-    series_mul,
     tangent_chern,
 )
 from .dzero import (
@@ -50,7 +47,6 @@ from .errors import (
     MissingCurveLattice,
     NegativeDimension,
     NonIntegralRank,
-    NonUnitSeries,
     RankUnsupported,
     RedundantDegreeWarning,
     SchemaError,

@@ -1,4 +1,4 @@
-"""Complete-intersection threefold presets and truncated Chern-series arithmetic.
+"""Complete-intersection threefold presets and their tangent Chern classes.
 
 A transverse intersection of hypersurfaces of degrees (d_1, ..., d_m) in
 P^n with n - m = 3 is a smooth projective threefold whose total tangent
@@ -6,9 +6,11 @@ Chern class, restricted to the hyperplane generator H, is
 
     c(T_X) = (1 + H)^(n+1) / prod_i (1 + d_i H)
 
-truncated after degree 3.  This module computes that series exactly,
-classifies the canonical type by comparing sum(d_i) with n + 1, and builds
-the corresponding one-generator Threefold model.
+truncated after degree 3.  Every factor of the denominator has constant
+term 1, so dividing by it takes no division of numbers: the coefficients
+stay integers, and this module computes them on Python ints, exactly.  It
+also classifies the canonical type by comparing sum(d_i) with n + 1, and
+builds the corresponding one-generator Threefold model.
 """
 
 from __future__ import annotations
@@ -18,63 +20,9 @@ import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from .chow import CurveClass, Threefold, make_threefold
-from .errors import DimensionMismatch, InvalidInput, NonUnitSeries, RedundantDegreeWarning
-from .rationals import rat
-
-
-@dataclass(frozen=True)
-class TruncSeries:
-    """Power series in one variable, truncated after degree 3."""
-
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("c0", "c1", "c2", "c3"):
-            object.__setattr__(self, name, rat(getattr(self, name)))
-
-    @property
-    def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.c0, self.c1, self.c2, self.c3)
-
-
-SERIES_ONE = TruncSeries(1, 0, 0, 0)
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Coefficientwise convolution truncated at degree 3."""
-    x, y = a.coeffs, b.coeffs
-    return TruncSeries(
-        x[0] * y[0],
-        x[0] * y[1] + x[1] * y[0],
-        x[0] * y[2] + x[1] * y[1] + x[2] * y[0],
-        x[0] * y[3] + x[1] * y[2] + x[2] * y[1] + x[3] * y[0],
-    )
-
-
-def series_inv(a: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse; exists exactly when the constant term is nonzero."""
-    if a.c0 == 0:
-        raise NonUnitSeries("series with zero constant term has no inverse")
-    b0 = 1 / a.c0
-    b1 = -(a.c1 * b0) / a.c0
-    b2 = -(a.c1 * b1 + a.c2 * b0) / a.c0
-    b3 = -(a.c1 * b2 + a.c2 * b1 + a.c3 * b0) / a.c0
-    return TruncSeries(b0, b1, b2, b3)
-
-
-def series_pow(a: TruncSeries, n: int) -> TruncSeries:
-    if n < 0:
-        raise InvalidInput("series_pow expects a nonnegative exponent")
-    out = SERIES_ONE
-    for _ in range(n):
-        out = series_mul(out, a)
-    return out
+from .chow import Threefold, make_threefold
+from .errors import DimensionMismatch, InvalidInput, RedundantDegreeWarning
 
 
 @dataclass(frozen=True)
@@ -123,32 +71,37 @@ def classify(p: CIPreset) -> CanonicalType:
     return CanonicalType.GENERAL_TYPE
 
 
-def tangent_chern(p: CIPreset) -> TruncSeries:
-    """Total tangent Chern class as a truncated series in the hyperplane H."""
-    numerator = series_pow(TruncSeries(1, 1, 0, 0), p.ambient + 1)
-    denominator = SERIES_ONE
+def tangent_chern(p: CIPreset) -> tuple[int, int, int, int]:
+    """Total tangent Chern class (1, c1, c2, c3), indexed by degree in H.
+
+    Starts from the binomial coefficients of (1 + H)^(n+1) and divides by
+    each 1 + d H in place: c[j] -= d * c[j-1] for j = 1, 2, 3 in turn.
+    """
+    c = [math.comb(p.ambient + 1, j) for j in range(4)]
     for d in p.degrees:
-        denominator = series_mul(denominator, TruncSeries(1, d, 0, 0))
-    return series_mul(numerator, series_inv(denominator))
+        for j in range(1, 4):
+            c[j] -= d * c[j - 1]
+    return tuple(c)
 
 
 def build_ci(p: CIPreset) -> Threefold:
     """One-generator Threefold model of the preset.
 
-    H^3 is the product of the degrees; c2(X) is stored through its pairing
+    H^3 is the product of the degrees; c1(X) and c2(X) are the integer
+    coefficients from ``tangent_chern``, c2(X) stored through its pairing
     with H.  The curve lattice defaults to the class of a line, the single
     generator l with H.l = 1, so integral curve classes pair integrally
     with H.  c3(X) is reported by ``tangent_chern`` but not stored: no
     downstream formula consumes it.
     """
-    chern = tangent_chern(p)
+    _, c1, c2, _ = tangent_chern(p)
     degree = math.prod(p.degrees)
     return make_threefold(
         ("H",),
         (((degree,),),),
-        (chern.c1,),
-        (chern.c2 * degree,),
-        curve_lattice=(CurveClass((Fraction(1),)),),
+        (c1,),
+        (c2 * degree,),
+        curve_lattice=((1,),),
     )
 
 

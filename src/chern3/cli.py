@@ -121,16 +121,12 @@ def _resolve_threefold(payload: dict) -> tuple[Threefold, str]:
 
 def _handle_threefold(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     preset = CIPreset(payload["ambient"], tuple(payload.get("degrees", ())))
-    chern = tangent_chern(preset)
+    _, c1, c2, c3 = tangent_chern(preset)
     X = build_ci(preset)
     data = {
         "preset": format_preset(preset),
         "classification": classify(preset).value,
-        "tangent_chern": {
-            "c1": rat_str(chern.c1),
-            "c2": rat_str(chern.c2),
-            "c3": rat_str(chern.c3),
-        },
+        "tangent_chern": {"c1": str(c1), "c2": str(c2), "c3": str(c3)},
         "threefold": threefold_to_json(X),
     }
     return data, []
@@ -480,30 +476,23 @@ def _schema_message(exc: jsonschema.ValidationError) -> str:
 
 
 @functools.cache
-def _validator(command: str | None, rule: int | None = None) -> Any:
-    """The validator of a command's payload schema, of its rule number ``rule``,
-    or, for no command, of the request document.
+def _validator(command: str | None) -> Any:
+    """The validator of a command's payload schema or, for no command, of the
+    request document.
 
     Built on first use and kept for the process.  ``check_schema`` runs once
     here, which is what makes it cheaper than ``jsonschema.validate``: that
     re-checks the schema against the metaschema on every call.
     """
-    if command is None:
-        schema = REQUEST_SCHEMA
-    elif rule is None:
-        schema = PAYLOAD_SCHEMAS[command]
-    else:
-        schema = COMMANDS[command].rules[rule][1]
+    schema = REQUEST_SCHEMA if command is None else PAYLOAD_SCHEMAS[command]
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
 
 
-def _first_error(
-    instance: dict, command: str | None, rule: int | None = None
-) -> jsonschema.ValidationError | None:
+def _first_error(instance: dict, command: str | None) -> jsonschema.ValidationError | None:
     """The error ``jsonschema.validate`` would raise for this schema, or None."""
-    return jsonschema.exceptions.best_match(_validator(command, rule).iter_errors(instance))
+    return jsonschema.exceptions.best_match(_validator(command).iter_errors(instance))
 
 
 def validate_payload(command: str, payload: dict) -> None:
@@ -656,9 +645,6 @@ def _payload_from_args(args: argparse.Namespace) -> Request:
                 raise SchemaError(f"{args.command}: give only one of {given[key]}, {flag.name}")
             payload[key] = field
             given[key] = flag.name
-    for i, (message, _) in enumerate(command.rules):
-        if _first_error(payload, args.command, i) is not None:
-            raise SchemaError(message.format(command=args.command))
     return Request(args.command, payload, "json" if args.json else "table")
 
 

@@ -22,10 +22,6 @@ class AsymmetricForm(Chern3Error):
     """The trilinear intersection form is not symmetric in its three indices."""
 
 
-class NonUnitSeries(Chern3Error):
-    """A truncated series with zero constant term has no multiplicative inverse."""
-
-
 class NonIntegralRank(Chern3Error):
     """Chern-character data whose degree-0 part is not a positive integer."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .chow import CurveClass, DivClass, Threefold, mul_div_div, pair_div_curve, triple
+from .chow import CurveClass, DivClass, Threefold, _check_len, mul_div_div, pair_div_curve, triple
 from .errors import DegenerateLine, DimensionMismatch, InvalidInput, NonIntegralRank
 from .rationals import rat, rat_str
 
@@ -117,6 +117,7 @@ def dual(X: Threefold, F: ChernData) -> ChernData:
 
 def twist(X: Threefold, F: ChernData, L: DivClass) -> ChernData:
     """Tensor with the line-bundle data (1, L, 0, 0)."""
+    _check_len("divisor class", len(L), X.m)
     line = ChernData(1, L, CurveClass.zero(X.m), 0)
     return tensor(X, F, line)
 

@@ -197,6 +197,8 @@ def test_schemas_pass_the_metaschema(schema):
 
 QUADRIC_DOC = threefold_to_json(build_ci(CIPreset(4, (2,))))
 SHEAF = {"rank": 2, "c1": [1], "c2": [1]}
+SHEAF_DOC = {**SHEAF, "c3": 0}
+F_FLAG = json.dumps(SHEAF_DOC)
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -232,6 +234,15 @@ def test_validate_payload_reports_what_jsonschema_validate_raises(command, paylo
     ("serre", {"preset": "[2] in P4", "det": [1], "c2": [1]},
      ["--preset", "[2] in P4", "--det", "1", "--c2", "1"]),
     ("dzero", {"verify_paper": True, "k_range": [-3, 3]}, ["--verify-paper", "--k", "-3..3"]),
+    # No target and an --e/--l rule broken too: the CLI used to name only the target rule.
+    ("chern", {"op": "tensor", "F": SHEAF_DOC}, ["tensor", "--f", F_FLAG]),
+    ("chern", {"op": "twist", "F": SHEAF_DOC}, ["twist", "--f", F_FLAG]),
+    ("chern", {"op": "dual", "F": SHEAF_DOC, "E": SHEAF_DOC}, ["dual", "--f", F_FLAG, "--e", F_FLAG]),
+    ("chern", {"op": "dual", "F": SHEAF_DOC, "L": [1]}, ["dual", "--f", F_FLAG, "--l", "1"]),
+    ("chern", {"op": "delta", "F": SHEAF_DOC, "E": SHEAF_DOC}, ["delta", "--f", F_FLAG, "--e", F_FLAG]),
+    ("chern", {"op": "delta", "F": SHEAF_DOC, "L": [1]}, ["delta", "--f", F_FLAG, "--l", "1"]),
+    ("chern", {"op": "tensor", "F": SHEAF_DOC, "L": [1]}, ["tensor", "--f", F_FLAG, "--l", "1"]),
+    ("chern", {"op": "twist", "F": SHEAF_DOC, "E": SHEAF_DOC}, ["twist", "--f", F_FLAG, "--e", F_FLAG]),
 ])
 def test_json_payload_names_the_failed_rule(capsys, command, payload, argv):
     with pytest.raises(SchemaError) as exc:

@@ -177,6 +177,12 @@ def test_twist_group_action():
         assert twist(X, F, DivClass.zero(X.m)) == F
 
 
+def test_twist_names_a_wrong_length_line_bundle(quadric):
+    F = ChernData(2, (1,), (1,), 0)
+    with pytest.raises(DimensionMismatch, match=r"^divisor class has length 2, expected 1$"):
+        twist(quadric, F, DivClass((1, 2)))
+
+
 # ---------------------------------------------------------------- discriminant
 
 
