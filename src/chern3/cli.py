@@ -6,6 +6,10 @@ responses are rendered as "p/q" strings, never floating point.  Table mode
 renders the same data as JSON mode, flattened to name/value rows, so the
 two modes cannot drift apart.
 
+The schemas are checked by ``chern3.checker``, which reads exactly the
+keywords they use and gives jsonschema's messages; building the schema
+table fails on any other keyword, and no request imports jsonschema.
+
 Each command is defined once, as a ``COMMANDS`` entry; the payload schemas,
 the argparse subcommands and the mapping from flags to payload are built
 from that table, so CLI and JSON requests cannot drift apart either.
@@ -17,7 +21,6 @@ Exit codes: 0 ok, 1 domain error (or a failing verification suite),
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import re
 import sys
@@ -28,8 +31,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
-import jsonschema
-
+from . import checker
 from .chow import (
     CurveClass,
     DivClass,
@@ -454,12 +456,12 @@ def _payload_schema(command: Command) -> dict:
     )
     if command.rules:
         schema["allOf"] = [rule for _, rule in command.rules]
-    return schema
+    return checker.supported(schema)
 
 
 PAYLOAD_SCHEMAS: dict[str, dict] = {name: _payload_schema(c) for name, c in COMMANDS.items()}
 
-REQUEST_SCHEMA = _object(
+REQUEST_SCHEMA = checker.supported(_object(
     {
         "schema": _VERSION,
         "command": {"enum": sorted(PAYLOAD_SCHEMAS)},
@@ -467,38 +469,20 @@ REQUEST_SCHEMA = _object(
         "output_mode": {"enum": ["table", "json"]},
     },
     ["command", "payload"],
-)
+))
 
 
-def _schema_message(exc: jsonschema.ValidationError) -> str:
+def _schema_message(exc: Any) -> str:
+    """An error's message and the payload path it is at, if any; ``exc`` is a
+    ``checker.Violation`` or anything with its ``message`` and ``absolute_path``."""
     path = "/".join(str(p) for p in exc.absolute_path)
     return f"{exc.message}" + (f" (at {path})" if path else "")
-
-
-@functools.cache
-def _validator(command: str | None) -> Any:
-    """The validator of a command's payload schema or, for no command, of the
-    request document.
-
-    Built on first use and kept for the process.  ``check_schema`` runs once
-    here, which is what makes it cheaper than ``jsonschema.validate``: that
-    re-checks the schema against the metaschema on every call.
-    """
-    schema = REQUEST_SCHEMA if command is None else PAYLOAD_SCHEMAS[command]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-def _first_error(instance: dict, command: str | None) -> jsonschema.ValidationError | None:
-    """The error ``jsonschema.validate`` would raise for this schema, or None."""
-    return jsonschema.exceptions.best_match(_validator(command).iter_errors(instance))
 
 
 def validate_payload(command: str, payload: dict) -> None:
     if command not in PAYLOAD_SCHEMAS:
         raise SchemaError(f"unknown command {command!r}")
-    error = _first_error(payload, command)
+    error = checker.best_match(PAYLOAD_SCHEMAS[command], payload)
     if error is None:
         return
     # An error inside allOf[i] breaks the command's rule i: name it as the CLI does.
@@ -515,7 +499,7 @@ def load_config(path: str | Path) -> Request:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    error = _first_error(doc, None)
+    error = checker.best_match(REQUEST_SCHEMA, doc)
     if error is not None:
         raise SchemaError(f"{path}: {_schema_message(error)}")
     return Request(doc["command"], doc["payload"], doc.get("output_mode", "table"))

@@ -282,6 +282,11 @@ def solve_dzero(problem: DZeroProblem) -> DZeroReport:
                     "single-modulus congruence certificate found",
                 )
     else:
+        # The residue and divisor scans take O(A) steps; the same cap bounds them.
+        if A > cap:
+            raise LimitExceeded(
+                f"congruence modulus A = {A} is above the {ENUM_CAP_ENV} cap {cap}"
+            )
         found = _congruence_residues(B, E, A)
         if found:
             solvable = True

@@ -252,6 +252,31 @@ def test_json_payload_names_the_failed_rule(capsys, command, payload, argv):
     assert not str(exc.value).startswith(f"{command}: {{")
 
 
+@pytest.mark.parametrize("command, payload, where", [
+    ("verify", {"tensor_formulas": True, "max_rank": 2.0, "trials": 3}, "2.0 (at max_rank)"),
+    ("verify", {"tensor_formulas": True, "trials": 3.0}, "3.0 (at trials)"),
+    ("verify", {"tensor_formulas": True, "max_rank": 1, "seed": 1.0}, "1.0 (at seed)"),
+    ("threefold", {"ambient": 4.0, "degrees": [2]}, "4.0 (at ambient)"),
+    ("threefold", {"ambient": 4, "degrees": [2.0]}, "2.0 (at degrees/0)"),
+    ("chi", {"preset": "[2] in P4", **SHEAF, "rank": 2.0}, "2.0 (at rank)"),
+    ("moduli-dim", {"preset": "[2] in P4", **SHEAF, "rank": 2.0}, "2.0 (at rank)"),
+    ("chern", {"op": "dual", "preset": "[2] in P4", "F": {**SHEAF_DOC, "rank": 2.0}}, "2.0 (at F/rank)"),
+    ("serre", {"preset": "[2] in P4", "direction": "to-c3", "det": [1], "c2": [1.0], "genus": 0},
+     "1.0 (at c2/0)"),
+    ("ledger", {"h0_N": 3.0, "h0_F": 2}, "3.0 (at h0_N)"),
+    ("dzero", {"preset": "[2] in P4", "k_range": [-2.0, 2]}, "-2.0 (at k_range/0)"),
+])
+def test_an_integral_float_is_not_an_integer(tmp_path, capsys, command, payload, where):
+    # Draft 2020-12 counts 2.0 as an integer; these payloads used to reach a
+    # handler and end in a traceback or a domain error.
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps({"command": command, "payload": payload}))
+    assert main(["--config", str(path)]) == 2
+    value, at = where.split(" ", 1)
+    types = "'integer', 'string'" if command == "serre" else "'integer'"
+    assert capsys.readouterr().err == f"SchemaError: {command}: {value} is not of type {types} {at}\n"
+
+
 def test_schema_version_field_accepted():
     payload = {"schema": "1", "preset": "[2] in P4", "rank": 2, "c1": [1], "c2": [1], "c3": "0"}
     assert run_json("chi", payload).data["chi"] == "4"

@@ -1,4 +1,6 @@
+import json
 import random
+import time
 from contextlib import nullcontext
 from fractions import Fraction
 
@@ -156,6 +158,24 @@ def test_enumeration_cap(monkeypatch):
         solve_dzero(DZeroProblem(model("[2] in P4"), (-50, 50), (-50, 50)))
     monkeypatch.setenv("CHERN3_MAX_ENUM", "1000000")
     solve_dzero(DZeroProblem(model("[2] in P4"), (-5, 5), (-5, 5)))
+
+
+def test_the_congruence_modulus_is_capped_before_any_scan(monkeypatch, capsys):
+    # On this threefold A = 6p: the modulus grows with the curve lattice entry p.
+    monkeypatch.delenv("CHERN3_MAX_ENUM", raising=False)
+    doc = {"generators": ["H"], "T": [[["2"]]], "c1X": ["3"], "c2X": ["12"], "curve_lattice": [["10000019"]]}
+    start = time.perf_counter()
+    assert main(["dzero", "--threefold", json.dumps(doc), "--k", "-2..2", "--c", "-2..2"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "LimitExceeded: congruence modulus A = 60000114 is above the CHERN3_MAX_ENUM cap 1000000\n")
+    with pytest.warns(IntegralityWarning):
+        X = make_threefold(["H"], (((2,),),), (3,), (12,), curve_lattice=((7,),))
+    monkeypatch.setenv("CHERN3_MAX_ENUM", "41")
+    with pytest.raises(LimitExceeded, match="A = 42 "):
+        solve_dzero(DZeroProblem(X, (-2, 2), (-2, 2)))
+    monkeypatch.setenv("CHERN3_MAX_ENUM", "42")
+    assert solve_dzero(DZeroProblem(X, (-2, 2), (-2, 2))).obstruction.modulus == 3
 
 
 @pytest.mark.parametrize("raw", ["0", "-1", "x"])
