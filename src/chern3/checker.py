@@ -3,8 +3,7 @@
 It reads draft 2020-12 schemas built from ``type``, ``properties``,
 ``required``, ``additionalProperties: false``, ``items``,
 ``minItems``/``maxItems``, ``minimum``/``maximum``, ``pattern``, ``enum``,
-``const``, ``oneOf``, ``allOf``, ``if``/``then``/``else``, ``not``,
-``dependentSchemas``, ``propertyNames`` and local ``$ref`` pointers.
+``const``, ``oneOf``, ``allOf``, ``if``/``then``/``else`` and ``not``.
 ``supported`` rejects a schema with any other keyword, so a schema cannot
 silently mean less here than it says.
 
@@ -73,20 +72,13 @@ class Violation:
         return self.parent.absolute_schema_path + self.schema_path
 
 
-def _resolve(root: dict, ref: str) -> dict:
-    node = root
-    for part in ref.removeprefix("#/").split("/"):
-        node = node[part]
-    return node
-
-
-def _descend(instance: Any, schema: dict, root: dict, path: Any = None,
+def _descend(instance: Any, schema: dict, path: Any = None,
              schema_path: Any = None) -> Iterator[Violation]:
     for keyword, value in schema.items():
-        for error in _KEYWORDS[keyword](instance, value, schema, root):
+        for error in _KEYWORDS[keyword](instance, value, schema):
             if error.validator is None:
                 error.validator, error.instance, error.schema = keyword, instance, schema
-            if keyword not in ("if", "$ref"):
+            if keyword != "if":
                 error.schema_path.appendleft(keyword)
             if path is not None:
                 error.path.appendleft(path)
@@ -95,31 +87,31 @@ def _descend(instance: Any, schema: dict, root: dict, path: Any = None,
             yield error
 
 
-def _valid(instance: Any, schema: dict, root: dict) -> bool:
-    return next(_descend(instance, schema, root), None) is None
+def _valid(instance: Any, schema: dict) -> bool:
+    return next(_descend(instance, schema), None) is None
 
 
-def _type(instance, types, schema, root):
+def _type(instance, types, schema):
     names = _type_names(types)
     if any(_TYPES[name](instance) for name in names):
         return ()
     return (Violation(f"{instance!r} is not of type {', '.join(map(repr, names))}"),)
 
 
-def _properties(instance, properties, schema, root):
+def _properties(instance, properties, schema):
     if isinstance(instance, dict):
         for key, subschema in properties.items():
             if key in instance:
-                yield from _descend(instance[key], subschema, root, path=key, schema_path=key)
+                yield from _descend(instance[key], subschema, path=key, schema_path=key)
 
 
-def _required(instance, required, schema, root):
+def _required(instance, required, schema):
     if isinstance(instance, dict):
         return [Violation(f"{key!r} is a required property") for key in required if key not in instance]
     return ()
 
 
-def _additional_properties(instance, allowed, schema, root):
+def _additional_properties(instance, allowed, schema):
     if isinstance(instance, dict):
         properties = schema.get("properties", {})
         extras = sorted({key for key in instance if key not in properties}, key=str)
@@ -130,126 +122,107 @@ def _additional_properties(instance, allowed, schema, root):
     return ()
 
 
-def _items(instance, items, schema, root):
+def _items(instance, items, schema):
     if isinstance(instance, list):
         for index, item in enumerate(instance):
-            yield from _descend(item, items, root, path=index)
+            yield from _descend(item, items, path=index)
 
 
-def _min_items(instance, least, schema, root):
+def _min_items(instance, least, schema):
     if isinstance(instance, list) and len(instance) < least:
         return (Violation(f"{instance!r} " + ("should be non-empty" if least == 1 else "is too short")),)
     return ()
 
 
-def _max_items(instance, most, schema, root):
+def _max_items(instance, most, schema):
     if isinstance(instance, list) and len(instance) > most:
         return (Violation(f"{instance!r} " + ("is expected to be empty" if most == 0 else "is too long")),)
     return ()
 
 
-def _minimum(instance, least, schema, root):
+def _minimum(instance, least, schema):
     if _is_number(instance) and instance < least:
         return (Violation(f"{instance!r} is less than the minimum of {least!r}"),)
     return ()
 
 
-def _maximum(instance, most, schema, root):
+def _maximum(instance, most, schema):
     if _is_number(instance) and instance > most:
         return (Violation(f"{instance!r} is greater than the maximum of {most!r}"),)
     return ()
 
 
-def _pattern(instance, pattern, schema, root):
+def _pattern(instance, pattern, schema):
     if isinstance(instance, str) and not re.fullmatch(pattern, instance):
         return (Violation(f"{instance!r} does not match {pattern!r}"),)
     return ()
 
 
-def _enum(instance, values, schema, root):
+def _enum(instance, values, schema):
     if any(_same(instance, value) for value in values):
         return ()
     return (Violation(f"{instance!r} is not one of {values!r}"),)
 
 
-def _const(instance, value, schema, root):
+def _const(instance, value, schema):
     return () if _same(instance, value) else (Violation(f"{value!r} was expected"),)
 
 
-def _one_of(instance, subschemas, schema, root):
+def _one_of(instance, subschemas, schema):
     candidates = enumerate(subschemas)
     context: list[Violation] = []
     for index, subschema in candidates:
-        errors = list(_descend(instance, subschema, root, schema_path=index))
+        errors = list(_descend(instance, subschema, schema_path=index))
         if not errors:
             first_valid = subschema
             break
         context += errors
     else:
         yield Violation(f"{instance!r} is not valid under any of the given schemas", context)
-    more_valid = [subschema for _, subschema in candidates if _valid(instance, subschema, root)]
+    more_valid = [subschema for _, subschema in candidates if _valid(instance, subschema)]
     if more_valid:
         more_valid.append(first_valid)
         listed = ", ".join(map(repr, more_valid))
         yield Violation(f"{instance!r} is valid under each of {listed}")
 
 
-def _all_of(instance, subschemas, schema, root):
+def _all_of(instance, subschemas, schema):
     for index, subschema in enumerate(subschemas):
-        yield from _descend(instance, subschema, root, schema_path=index)
+        yield from _descend(instance, subschema, schema_path=index)
 
 
-def _if(instance, condition, schema, root):
-    branch = "then" if _valid(instance, condition, root) else "else"
+def _if(instance, condition, schema):
+    branch = "then" if _valid(instance, condition) else "else"
     if branch in schema:
-        yield from _descend(instance, schema[branch], root, schema_path=branch)
+        yield from _descend(instance, schema[branch], schema_path=branch)
 
 
-def _not(instance, subschema, schema, root):
-    if _valid(instance, subschema, root):
+def _not(instance, subschema, schema):
+    if _valid(instance, subschema):
         return (Violation(f"{instance!r} should not be valid under {subschema!r}"),)
     return ()
 
 
-def _dependent_schemas(instance, dependents, schema, root):
-    if isinstance(instance, dict):
-        for key, subschema in dependents.items():
-            if key in instance:
-                yield from _descend(instance, subschema, root, schema_path=key)
-
-
-def _property_names(instance, subschema, schema, root):
-    if isinstance(instance, dict):
-        for key in instance:
-            yield from _descend(key, subschema, root)
-
-
-def _ref(instance, ref, schema, root):
-    return _descend(instance, _resolve(root, ref), root)
-
-
-def _branch(instance, value, schema, root):
+def _branch(instance, value, schema):
     return ()  # "then" and "else" are read by "if"
 
 
-_KEYWORDS: dict[str, Callable[[Any, Any, dict, dict], Iterable[Violation]]] = {
+_KEYWORDS: dict[str, Callable[[Any, Any, dict], Iterable[Violation]]] = {
     "type": _type, "properties": _properties, "required": _required,
     "additionalProperties": _additional_properties, "items": _items,
     "minItems": _min_items, "maxItems": _max_items, "minimum": _minimum, "maximum": _maximum,
     "pattern": _pattern, "enum": _enum, "const": _const, "oneOf": _one_of, "allOf": _all_of,
     "if": _if, "then": _branch, "else": _branch, "not": _not,
-    "dependentSchemas": _dependent_schemas, "propertyNames": _property_names, "$ref": _ref,
 }
 
 
-def supported(schema: dict, root: dict | None = None) -> dict:
+def supported(schema: dict) -> dict:
     """Return ``schema`` after checking that this module reads all of it.
 
     Raises ``ValueError`` naming the first keyword it would not enforce: an
-    unknown keyword, a ``type`` it does not know, ``additionalProperties``
-    other than ``false``, or a ``$ref`` that is not a pointer into ``root``.
+    unknown keyword, a ``type`` it does not know, or ``additionalProperties``
+    other than ``false``.
     """
-    root = schema if root is None else root
     for keyword, value in schema.items():
         if keyword not in _KEYWORDS:
             raise ValueError(f"unsupported schema keyword {keyword!r}")
@@ -257,20 +230,16 @@ def supported(schema: dict, root: dict | None = None) -> dict:
             raise ValueError(f"unsupported schema type {value!r}")
         if keyword == "additionalProperties" and value is not False:
             raise ValueError("additionalProperties must be false")
-        if keyword == "$ref":
-            if not value.startswith("#/"):
-                raise ValueError(f"unsupported $ref {value!r}")
-            _resolve(root, value)
-        if keyword in ("properties", "dependentSchemas"):
+        if keyword == "properties":
             nested = value.values()
         elif keyword in ("oneOf", "allOf"):
             nested = value
-        elif keyword in ("items", "if", "then", "else", "not", "propertyNames"):
+        elif keyword in ("items", "if", "then", "else", "not"):
             nested = (value,)
         else:
             nested = ()
         for subschema in nested:
-            supported(subschema, root)
+            supported(subschema)
     return schema
 
 
@@ -285,7 +254,7 @@ def _relevance(error: Violation) -> tuple:
 
 def iter_errors(schema: dict, instance: Any) -> Iterator[Violation]:
     """Every way ``instance`` breaks ``schema``, in schema order."""
-    return _descend(instance, schema, schema)
+    return _descend(instance, schema)
 
 
 def best_match(schema: dict, instance: Any) -> Violation | None:

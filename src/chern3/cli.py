@@ -388,7 +388,7 @@ COMMANDS: dict[str, Command] = {
         *_TARGET,
         Flag("--f", "F", _CHERN_DOC, partial(_parse_json_flag, label="--f"), required=True,
              help="sheaf JSON document or path"),
-        Flag("--e", "E", {"$ref": "#/properties/F"}, partial(_parse_json_flag, label="--e"),
+        Flag("--e", "E", _CHERN_DOC, partial(_parse_json_flag, label="--e"),
              help="second sheaf JSON document, for tensor"),
         Flag("--l", "L", _RAT_VEC, _parse_vector, help="comma-separated divisor class, for twist"),
     ), (
@@ -431,9 +431,11 @@ COMMANDS: dict[str, Command] = {
         Flag("--c", "c_range", _RANGE, _parse_range, help="curve range lo..hi, default -50..50"),
         Flag("--verify-paper", "verify_paper", {"const": True}, const=True),
     ), (
-        ("dzero: --verify-paper takes no --preset, --threefold, --k or --c", {"dependentSchemas": {
-            "verify_paper": {"propertyNames": {"enum": ["schema", "verify_paper"]}},
-        }}),
+        ("dzero: --verify-paper takes no --preset, --threefold, --k or --c", {
+            "if": {"required": ["verify_paper"]},
+            "then": {"allOf": [{"not": {"required": [key]}}
+                               for key in ("preset", "threefold", "k_range", "c_range")]},
+        }),
         ("dzero: provide --preset or --threefold", _one_of("verify_paper", "preset", "threefold")),
     )),
     "verify": Command("verification suites", _handle_verify, (

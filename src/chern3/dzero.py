@@ -8,11 +8,17 @@ expected dimension is then an exact affine-in-(c, k^2) form
     D(k, c) = a c + b k^2 + e
 
 whose integer zero set is decided completely by congruences modulo the
-cleared-denominator coefficient of c.  Reports carry either explicit
-congruence-class witnesses or a single-modulus impossibility certificate,
-and every verdict is double-checked by dumb exhaustive enumeration over the
-requested rectangle, because a certified claim should not depend on the
-clever path being right.
+cleared-denominator coefficient A of c.
+
+Lemma: a = 2 c1(X).l, so A = 0 only for the zero condition.  Indeed
+D = 1 - c1(X).c2(X)/6 + c1(X).Delta/2 with Delta = 4c l - k^2 H^2, and
+D = 0 identically when c1(X) = 0; with c1(X) = tH and H.l = p != 0 the
+coefficient of c is a = 2tp, which vanishes only when t = 0.
+
+Reports carry either explicit congruence-class witnesses or a single-modulus
+impossibility certificate, and every verdict is double-checked by dumb
+exhaustive enumeration over the requested rectangle, because a certified
+claim should not depend on the clever path being right.
 """
 
 from __future__ import annotations
@@ -86,10 +92,10 @@ class DZeroProblem:
 
 @dataclass(frozen=True)
 class Obstruction:
-    """Named impossibility certificate; ``modulus`` is set for congruences."""
+    """Named impossibility certificate: no k satisfies the condition modulo ``modulus``."""
 
     kind: str
-    modulus: int | None
+    modulus: int
     description: str
 
 
@@ -153,16 +159,13 @@ def dzero_condition(X: Threefold) -> Condition:
 
 
 def _normalize(a: Fraction, b: Fraction, e: Fraction) -> Normalized:
-    """Clear denominators and divide by the gcd; sign fixed so A >= 0 leads."""
+    """Clear denominators and divide by the gcd, signed so that A >= 0."""
     scale = math.lcm(a.denominator, b.denominator, e.denominator)
     A, B, E = (int(x * scale) for x in (a, b, e))
-    g = math.gcd(math.gcd(abs(A), abs(B)), abs(E))
-    if g > 1:
-        A, B, E = A // g, B // g, E // g
-    lead = next((x for x in (A, B, E) if x != 0), 0)
-    if lead < 0:
-        A, B, E = -A, -B, -E
-    return Normalized(A, B, E)
+    g = math.gcd(A, B, E) or 1
+    if A < 0:
+        g = -g
+    return Normalized(A // g, B // g, E // g)
 
 
 def relation_str(normalized: tuple[int, int, int]) -> str:
@@ -183,27 +186,8 @@ def relation_str(normalized: tuple[int, int, int]) -> str:
     return f"{lhs} = {' '.join(terms)}"
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = [d for d in range(2, n + 1) if n % d == 0]
-    return out
-
-
-def _congruence_residues(B: int, E: int, q: int) -> list[int]:
+def _residues(B: int, E: int, q: int) -> list[int]:
     return [k for k in range(q) if (B * k * k + E) % q == 0]
-
-
-def _certificate_for_modulus_scan(B: int, E: int, moduli: list[int]) -> Obstruction | None:
-    for q in moduli:
-        if not _congruence_residues(B, E, q):
-            kind = "parity" if q == 2 else "congruence"
-            detail = (
-                "left side is even, right side is odd"
-                if q == 2
-                else f"no residue k (mod {q}) satisfies {B}k^2 + {E} = 0 (mod {q})"
-            )
-            return Obstruction(kind, q, detail)
-    return None
 
 
 def _grid_zeros(
@@ -228,11 +212,11 @@ def _grid_zeros(
 def solve_dzero(problem: DZeroProblem) -> DZeroReport:
     """Decide a c + b k^2 + e = 0 over the integers and enumerate the rectangle.
 
-    For a != 0 the congruence on k modulo the cleared coefficient of c is a
-    complete decision procedure, so unsolvable cases always carry a
-    certificate.  Certificates restricted to a single modulus may not exist
-    in the degenerate a = 0 branch; the report then says so instead of
-    pretending.
+    By the module's lemma A = 0 only for the zero condition, which every
+    point solves; modulo 1 that is the residue 0.  Otherwise the congruence
+    B k^2 + E = 0 (mod A) is a complete decision procedure, and an
+    unsolvable case carries the least divisor q >= 2 of A with no residue
+    as its certificate.
     """
     X = problem.threefold
     k_lo, k_hi = problem.k_range
@@ -246,64 +230,36 @@ def solve_dzero(problem: DZeroProblem) -> DZeroReport:
 
     a, b, e = condition = dzero_condition(X)
     A, B, E = normalized = _normalize(a, b, e)
-
-    solvable: bool
-    modulus: int | None = None
-    residues: tuple[int, ...] | None = None
-    obstruction: Obstruction | None = None
+    if A == 0 and (B, E) != (0, 0):
+        raise SelfCheckFailed(
+            "dzero affine reduction", f"a = 0 but the condition reads {relation_str(normalized)}"
+        )
+    # The residue and divisor scans take O(A) steps; the same cap bounds them.
+    if A > cap:
+        raise LimitExceeded(
+            f"congruence modulus A = {A} is above the {ENUM_CAP_ENV} cap {cap}"
+        )
+    modulus = A or 1
+    residues = tuple(_residues(B, E, modulus))
     witnesses: list[tuple[int, int]] = []
+    for k in range(k_lo, k_hi + 1):
+        value = B * k * k + E
+        if value % modulus == 0:
+            cs = (-value // A,) if A else range(c_lo, c_hi + 1)
+            witnesses += [(k, c) for c in cs if c_lo <= c <= c_hi]
 
-    if A == 0 and B == 0 and E == 0:
-        solvable = True
-        modulus, residues = 1, (0,)
-        witnesses = [(k, c) for k in range(k_lo, k_hi + 1) for c in range(c_lo, c_hi + 1)]
-    elif A == 0 and B == 0:
-        solvable = False
-        obstruction = Obstruction("nonzero-constant", None, f"the condition reads {E} = 0")
-    elif A == 0:
-        # B k^2 + E = 0 with c unconstrained: k^2 must equal -E/B exactly.
-        solvable = False
-        if E % B == 0:
-            target = -E // B
-            if target >= 0 and math.isqrt(target) ** 2 == target:
-                solvable = True
-                k0 = math.isqrt(target)
-                ks = sorted({k0, -k0})
-                witnesses = [
-                    (k, c) for k in ks if k_lo <= k <= k_hi for c in range(c_lo, c_hi + 1)
-                ]
-        if not solvable:
-            obstruction = _certificate_for_modulus_scan(B, E, list(range(2, 1000)))
-            if obstruction is None:
-                obstruction = Obstruction(
-                    "no-certificate",
-                    None,
-                    "k^2 has no integer solution (exact square test); no "
-                    "single-modulus congruence certificate found",
-                )
-    else:
-        # The residue and divisor scans take O(A) steps; the same cap bounds them.
-        if A > cap:
-            raise LimitExceeded(
-                f"congruence modulus A = {A} is above the {ENUM_CAP_ENV} cap {cap}"
-            )
-        found = _congruence_residues(B, E, A)
-        if found:
-            solvable = True
-            modulus, residues = A, tuple(found)
-            for k in range(k_lo, k_hi + 1):
-                value = B * k * k + E
-                if value % A == 0:
-                    c = -value // A
-                    if c_lo <= c <= c_hi:
-                        witnesses.append((k, c))
-        else:
-            solvable = False
-            obstruction = _certificate_for_modulus_scan(B, E, _divisors(A))
-            if obstruction is None:  # cannot happen: q = A itself certifies
-                raise SelfCheckFailed("dzero congruence check", f"no certificate modulo {A}")
-
-    witnesses.sort()
+    obstruction = None
+    if not residues:
+        q = next((q for q in range(2, A + 1) if A % q == 0 and not _residues(B, E, q)), None)
+        if q is None:  # cannot happen: q = A itself certifies
+            raise SelfCheckFailed("dzero congruence check", f"no certificate modulo {A}")
+        obstruction = Obstruction(
+            "parity" if q == 2 else "congruence",
+            q,
+            "left side is even, right side is odd"
+            if q == 2
+            else f"no residue k (mod {q}) satisfies {B}k^2 + {E} = 0 (mod {q})",
+        )
 
     if _grid_zeros(a, b, e, problem.k_range, problem.c_range) != witnesses:
         raise SelfCheckFailed(
@@ -319,9 +275,9 @@ def solve_dzero(problem: DZeroProblem) -> DZeroReport:
         condition=condition,
         normalized=normalized,
         relation=relation_str(normalized),
-        solvable=solvable,
-        modulus=modulus,
-        residues=residues,
+        solvable=bool(residues),
+        modulus=modulus if residues else None,
+        residues=residues or None,
         obstruction=obstruction,
         witnesses=tuple(witnesses),
         k_range=problem.k_range,

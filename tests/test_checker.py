@@ -1,5 +1,6 @@
 """The built-in schema checker against jsonschema, which stays the oracle."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -7,11 +8,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import chern3
 from chern3 import checker
-from chern3.cli import COMMANDS, PAYLOAD_SCHEMAS, REQUEST_SCHEMA, Command, Flag, _payload_schema, _schema_message
+from chern3.cli import (COMMANDS, PAYLOAD_SCHEMAS, REQUEST_SCHEMA, Command, Flag, Request, _payload_schema,
+                        _schema_message, response_json, response_table, run)
+from chern3.errors import Chern3Error
 
 SCHEMAS = {**PAYLOAD_SCHEMAS, "request": REQUEST_SCHEMA}
 ORACLES = {name: jsonschema.validators.validator_for(schema)(schema) for name, schema in SCHEMAS.items()}
@@ -26,34 +29,33 @@ JUNK = st.one_of(
     st.lists(st.integers(-1, 2), max_size=3),
     st.just({}),
 )
-RATIONALS = st.one_of(st.integers(-5, 5), st.sampled_from(["7", "-3/4", "6/4", "0"]),
-                      st.sampled_from(["1/0", "7\n", "01/02", "1.5", "+2", " 1"]))
+WELL_FORMED = st.sampled_from(["7", "-3/4", "6/4", "0"])
+RATIONALS = st.one_of(st.integers(-5, 5), WELL_FORMED, st.sampled_from(["1/0", "7\n", "01/02", "1.5", "+2", " 1"]))
 
 
-def fitting(schema, root, depth=0):
+def fitting(schema, stray=1):
     """Instances built from ``schema`` with no junk in them.  Optional keys
-    come and go, so rules break; integers and array lengths stray one past
-    their bounds, and one rational in three is malformed."""
-    if "$ref" in schema:
-        return fitting(checker._resolve(root, schema["$ref"]), root, depth)
+    come and go, so rules break.  With ``stray=1`` integers and array lengths
+    stray one past their bounds, and one rational in three is malformed; with
+    ``stray=0`` only the rules can break."""
     if "const" in schema:
         return st.just(schema["const"])
     if "enum" in schema:
         return st.sampled_from(schema["enum"])
     kind = schema.get("type")
-    if kind == "object" and depth < 3:
-        properties = {key: fitting(sub, root, depth + 1) for key, sub in schema.get("properties", {}).items()}
+    if kind == "object":
+        properties = {key: fitting(sub, stray) for key, sub in schema.get("properties", {}).items()}
         required = schema.get("required", ())
         return st.fixed_dictionaries({key: properties[key] for key in required if key in properties},
                                      optional={k: v for k, v in properties.items() if k not in required})
-    if kind == "array" and depth < 4:
-        return st.lists(fitting(schema["items"], root, depth + 1),
-                        min_size=max(schema.get("minItems", 0) - 1, 0), max_size=schema.get("maxItems", 2) + 1)
+    if kind == "array":
+        return st.lists(fitting(schema["items"], stray), min_size=max(schema.get("minItems", 0) - stray, 0),
+                        max_size=schema.get("maxItems", 2) + stray)
     if "pattern" in schema:
-        return RATIONALS
+        return RATIONALS if stray else st.integers(-5, 5) | WELL_FORMED
     if kind == "integer":
         low = schema.get("minimum", -5)
-        return st.integers(low - 1, schema.get("maximum", low + 10) + 1)
+        return st.integers(low - stray, schema.get("maximum", low + 10) + stray)
     if kind == "string":
         return st.sampled_from(["[2] in P4", "[5] in P4", "H"])
     if kind == "boolean":
@@ -80,7 +82,7 @@ def mutation(value):
 @st.composite
 def near(draw, schema):
     """An instance drawn from ``schema``, then changed up to twice."""
-    value = draw(fitting(schema, schema))
+    value = draw(fitting(schema))
     for _ in range(draw(st.integers(0, 2))):
         value = draw(mutation(value))
     return value
@@ -157,10 +159,54 @@ def test_an_unsupported_keyword_fails_when_the_schema_table_is_built():
 @pytest.mark.parametrize("schema, message", [
     ({"type": "number"}, "unsupported schema type 'number'"),
     ({"additionalProperties": {"type": "string"}}, "additionalProperties must be false"),
-    ({"items": {"$ref": "other.json#/x"}}, "unsupported \\$ref"),
+    ({"items": {"$ref": "other.json#/x"}}, "unsupported schema keyword '\\$ref'"),
     ({"allOf": [{"anyOf": []}]}, "unsupported schema keyword 'anyOf'"),
+    ({"dependentSchemas": {"a": {}}}, "unsupported schema keyword 'dependentSchemas'"),
+    ({"if": {"propertyNames": {"enum": ["a"]}}}, "unsupported schema keyword 'propertyNames'"),
 ])
 def test_supported_rejects_what_the_checker_would_not_enforce(schema, message):
     with pytest.raises(ValueError, match=message):
         checker.supported(schema)
 
+
+# Small enough that each drawn verify request stays cheap.  Both keys are
+# always sent, because leaving them out means rank 4 and 100 trials.
+CHEAP = {"max_rank": {"type": "integer", "minimum": 1, "maximum": 3},
+         "trials": {"type": "integer", "minimum": 1, "maximum": 20}}
+
+
+@st.composite
+def valid_payloads(draw, schema):
+    """Schema-valid payloads: a value for every key, then one of the subsets
+    of the optional keys that keep every rule.  Dropping optional keys at
+    random, as ``fitting`` does, almost never keeps the chern and serre rules."""
+    full = draw(st.fixed_dictionaries(
+        {key: fitting(CHEAP.get(key, sub), stray=0) for key, sub in schema["properties"].items()}))
+    optional = [key for key in full if key not in schema["required"] and key not in CHEAP]
+    subsets = (set(keys) for n in range(len(optional) + 1) for keys in itertools.combinations(optional, n))
+    payloads = ({k: v for k, v in full.items() if k not in optional or k in keys} for keys in subsets)
+    valid = [payload for payload in payloads if checker.best_match(schema, payload) is None]
+    assume(valid)
+    return draw(st.sampled_from(valid))
+
+
+@pytest.mark.parametrize("command", PAYLOAD_SCHEMAS)
+def test_no_schema_valid_payload_ends_in_a_traceback(monkeypatch, command):
+    # Small enough that the paper claims' 101 x 101 grids stop at the cap: they
+    # take no input from the payload, and the golden transcript renders them.
+    monkeypatch.setenv("CHERN3_MAX_ENUM", "500")
+    drawn = []
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(payload=valid_payloads(PAYLOAD_SCHEMAS[command]))
+    def check(payload):
+        drawn.append(payload)
+        try:
+            response = run(Request(command, payload, "json"))
+        except Chern3Error:
+            return
+        response_json(response)
+        response_table(response)
+
+    check()
+    assert drawn, f"no schema-valid {command} payload was drawn"

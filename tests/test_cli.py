@@ -437,6 +437,30 @@ def test_main_threefold_doc_from_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["data"]["chi"] == "4"
 
 
+def test_main_bad_json_flags_are_schema_errors(tmp_path, capsys):
+    rc = main(["chi", "--threefold", "{bad", "--rank", "2", "--c1", "1", "--c2", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "SchemaError: --threefold: Expecting property name enclosed in double quotes at line 1\n")
+    listed = tmp_path / "sheaf.json"
+    listed.write_text("[1]")
+    assert main(["chern", "dual", "--preset", "[2] in P4", "--f", str(listed)]) == 2
+    assert capsys.readouterr().err == "SchemaError: --f: expected a JSON object\n"
+
+
+def test_main_without_a_command_prints_the_help(capsys):
+    assert main([]) == 2
+    assert capsys.readouterr().out.startswith("usage: chern3 ")
+
+
+def test_main_config_with_json_flag_prints_json(tmp_path, capsys):
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps({"command": "chi", "payload": {"preset": "[2] in P4", **SHEAF}}))
+    assert main(["--config", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["command"], doc["data"]["chi"]) == ("chi", "4")
+
+
 def test_warnings_surface_in_response():
     resp = run_json("serre", {"preset": "[2] in P4", "direction": "to-genus",
                               "det": ["1"], "c2": ["1"], "c3": "1"})

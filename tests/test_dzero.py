@@ -1,13 +1,15 @@
 import json
 import random
 import time
+import warnings
 from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chern3 import dzero
-from chern3.chow import DivClass, make_threefold
+from chern3.chow import DivClass, make_threefold, pair_div_curve
 from chern3.ci import build_ci, parse_preset
 from chern3.cli import main
 from chern3.dzero import (
@@ -117,10 +119,93 @@ def test_solve_quintic_every_point_is_a_witness():
 
 
 def test_witnesses_match_brute_force_oracle():
-    for name in ("[2] in P4", "[2,3] in P5", "[4] in P4", "[2,2] in P5"):
+    for name in ("[2] in P4", "[2,3] in P5", "[4] in P4", "[2,2] in P5", "[6] in P4"):
         X = model(name)
         report = solve_dzero(DZeroProblem(X, (-12, 12), (-30, 30)))
         assert list(report.witnesses) == brute_force_witnesses(X, (-12, 12), (-30, 30))
+
+
+def test_general_type_condition_is_normalized_to_a_positive_lead():
+    # On the sextic c1(X) = -H, so a = -2 and _normalize flips every sign.
+    X = model("[6] in P4")
+    assert dzero_condition(X) == (-2, 3, 17)
+    report = solve_dzero(DZeroProblem(X, (-12, 12), (-30, 30)))
+    assert report.normalized == (2, -3, -17)
+    assert report.relation == "2c = 3k^2 + 17"
+    assert report.witnesses == ((-3, 22), (-1, 10), (1, 10), (3, 22))
+
+
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+def line_threefold(T, c1X, c2X, l):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegralityWarning)
+        return make_threefold(["H"], (((T,),),), (c1X,), (c2X,), curve_lattice=((l,),))
+
+
+@st.composite
+def line_threefolds(draw):
+    """One-generator threefolds with a lattice generator l != 0, c1(X) = 0 at times."""
+    c1X = draw(st.one_of(st.just(Fraction(0)), RATIONALS))
+    return line_threefold(draw(RATIONALS), c1X, draw(RATIONALS), draw(RATIONALS.filter(bool)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(line_threefolds())
+def test_the_c_coefficient_is_twice_c1X_dot_l(X):
+    a, b, e = dzero_condition(X)
+    assert a == 2 * pair_div_curve(X, X.c1X, X.curve_lattice[0])
+    assert ((a, b, e) == (0, 0, 0)) == X.c1X.is_zero
+
+
+def from_condition(a, b, e):
+    """A threefold whose dzero condition is (a, b, e), for any a != 0."""
+    return line_threefold(-2 * b, 1, 6 * (1 - e), Fraction(a) / 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(RATIONALS.filter(bool), RATIONALS, RATIONALS)
+def test_every_condition_with_a_nonzero_comes_from_a_threefold(a, b, e):
+    assert dzero_condition(from_condition(a, b, e)) == (a, b, e)
+
+
+def has_residue(B, E, q):
+    return any((B * k * k + E) % q == 0 for k in range(q))
+
+
+# Small integer conditions put witnesses in small rectangles more often.
+SMALL_CONDITIONS = st.builds(from_condition, st.integers(1, 12) | st.integers(-12, -1),
+                             st.integers(-6, 6), st.integers(-20, 20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(line_threefolds() | SMALL_CONDITIONS, st.integers(-6, 3), st.integers(0, 6), st.integers(-20, 5), st.integers(0, 20))
+def test_solver_equals_brute_force_with_the_least_certificate(X, k_lo, k_len, c_lo, c_len):
+    k_range, c_range = (k_lo, k_lo + k_len), (c_lo, c_lo + c_len)
+    report = solve_dzero(DZeroProblem(X, k_range, c_range))
+    assert list(report.witnesses) == brute_force_witnesses(X, k_range, c_range)
+    A, B, E = report.normalized
+    if report.solvable:
+        modulus = A or 1
+        assert report.modulus == modulus and report.obstruction is None
+        assert report.residues == tuple(k for k in range(modulus) if (B * k * k + E) % modulus == 0)
+    else:
+        q = report.obstruction.modulus
+        assert report.residues is None and not has_residue(B, E, A)
+        assert A % q == 0 and not has_residue(B, E, q)
+        assert q == min(d for d in range(2, A + 1) if A % d == 0 and not has_residue(B, E, d))
+
+
+def test_a_vanishing_c_coefficient_with_a_nonzero_condition_is_a_build_bug(monkeypatch, capsys):
+    # The module's lemma rules out A = 0 with (B, E) != 0; reaching it is a fault.
+    monkeypatch.setattr(dzero, "_normalize", lambda a, b, e: dzero.Normalized(0, -1, 1))
+    with pytest.raises(SelfCheckFailed, match="^dzero affine reduction: "):
+        solve_dzero(DZeroProblem(model("[2] in P4"), (-5, 5), (-5, 5)))
+    assert main(["dzero", "--preset", "[2] in P4", "--k", "-5..5", "--c", "-5..5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("SelfCheckFailed: dzero affine reduction: ")
+    assert "Traceback" not in err
 
 
 def test_every_witness_reevaluates_to_zero():
