@@ -61,7 +61,7 @@ class _ClassVector:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __add__(self: V, other: V) -> V:
         if type(other) is not type(self):
@@ -76,7 +76,7 @@ class _ClassVector:
         return type(self)(tuple(-a for a in self.coords))
 
     def __mul__(self: V, scalar: int | str | Fraction) -> V:
-        s = rat(scalar)
+        s = scalar if type(scalar) in (int, Fraction) else rat(scalar)
         return type(self)(tuple(a * s for a in self.coords))
 
     __rmul__ = __mul__

@@ -209,8 +209,10 @@ def _grid_zeros(
     return zeros
 
 
-def solve_dzero(problem: DZeroProblem) -> DZeroReport:
+def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport:
     """Decide a c + b k^2 + e = 0 over the integers and enumerate the rectangle.
+
+    ``cap`` bounds the rectangle and the modulus A; None reads CHERN3_MAX_ENUM.
 
     By the module's lemma A = 0 only for the zero condition, which every
     point solves; modulo 1 that is the residue 0.  Otherwise the congruence
@@ -222,7 +224,7 @@ def solve_dzero(problem: DZeroProblem) -> DZeroReport:
     k_lo, k_hi = problem.k_range
     c_lo, c_hi = problem.c_range
     points = (k_hi - k_lo + 1) * (c_hi - c_lo + 1)
-    cap = _enum_cap()
+    cap = _enum_cap() if cap is None else cap
     if points > cap:
         raise LimitExceeded(
             f"rectangle has {points} lattice points, above the {ENUM_CAP_ENV} cap {cap}"
@@ -266,9 +268,13 @@ def solve_dzero(problem: DZeroProblem) -> DZeroReport:
             "dzero grid check", "exhaustive enumeration disagrees with the congruence solver"
         )
 
+    # Every witness goes through expected_dim; its classes are built once per row and column.
     generator = _require_line_lattice(X)
+    c1 = {k: DivClass((k,)) for k in {k for k, _ in witnesses}}
+    c2 = {c: generator * c for c in {c for _, c in witnesses}}
+    c3 = Fraction(0)
     for k, c in witnesses:
-        if _dim_at(X, generator, k, c) != 0:
+        if expected_dim(X, ChernData(2, c1[k], c2[c], c3)) != 0:
             raise SelfCheckFailed("dzero witness check", f"witness ({k}, {c}) fails re-evaluation")
 
     return DZeroReport(
@@ -327,11 +333,12 @@ def verify_paper_claims(
 
     Raises ClaimViolation when any computed report disagrees with the
     recorded claim; by construction that signals a build bug, not bad input.
+    The grid is fixed, not a user search, so CHERN3_MAX_ENUM does not cap it.
     """
     entries = []
     for name, want_solvable, want_normalized in _CLAIMS:
         X = build_ci(parse_preset(name))
-        report = solve_dzero(DZeroProblem(X, k_range, c_range))
+        report = solve_dzero(DZeroProblem(X, k_range, c_range), cap=_DEFAULT_ENUM_CAP)
         if report.solvable != want_solvable:
             raise ClaimViolation(
                 name,

@@ -24,6 +24,8 @@ from .errors import (
 from .rationals import rat, rat_str
 from .sheaf import ChernData, _check_on, discriminant
 
+_ZERO = Fraction(0)
+
 
 def ext_euler(X: Threefold, F: ChernData) -> Fraction:
     """Alternating sum of Ext^i(F, F) dimensions for homological dimension 1.
@@ -48,7 +50,7 @@ def expected_dim(X: Threefold, F: ChernData) -> Fraction:
         raise RankUnsupported(f"expected dimension is computed for rank 2, got rank {F.rank}")
     _check_on(X, F)
     if X.c1X.is_zero:
-        return Fraction(0)
+        return _ZERO
     return 1 - ext_euler(X, F)
 
 

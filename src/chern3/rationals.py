@@ -42,7 +42,7 @@ def rat(value: int | str | Fraction) -> Fraction:
 
 
 def rats(values: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:
-    return tuple(rat(v) for v in values)
+    return tuple(v if type(v) is Fraction else rat(v) for v in values)
 
 
 def rat_str(value: Fraction) -> str:

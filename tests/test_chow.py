@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chern3.chow import (
     CurveClass,
@@ -15,6 +16,7 @@ from chern3.chow import (
     triple,
 )
 from chern3.errors import AsymmetricForm, DimensionMismatch, IntegralityWarning, InvalidInput
+from chern3.rationals import rats
 
 from conftest import random_div, random_rat, random_threefold
 
@@ -123,6 +125,31 @@ def test_vector_arithmetic_keeps_type_and_rejects_mixing():
         C - D
     with pytest.raises(DimensionMismatch, match="CurveClass has length 1"):
         C + CurveClass((1,))
+
+
+# A rational in each form the API takes: an int, a "p/q" string or a Fraction.
+rationals = st.fractions(max_denominator=50).filter(lambda q: abs(q.numerator) < 10**6)
+coercibles = st.one_of(
+    st.integers(-10**6, 10**6),
+    rationals.map(lambda q: f"{q.numerator}/{q.denominator}"),
+    rationals,
+)
+
+
+@given(st.lists(coercibles, min_size=1, max_size=4), st.sampled_from([DivClass, CurveClass]),
+       coercibles)
+def test_class_vectors_coerce_every_coordinate_and_scalar_to_a_fraction(values, cls, scalar):
+    v = cls(tuple(values))
+    assert v.coords == rats(values) == tuple(Fraction(x) for x in values)
+    assert all(type(x) is Fraction for x in v.coords)
+    w = v * scalar
+    assert type(w) is cls and w == scalar * v
+    assert w.coords == tuple(x * Fraction(scalar) for x in v.coords)
+    assert all(type(x) is Fraction for x in w.coords)
+    with pytest.raises(InvalidInput, match="got bool"):
+        cls((*values, True))
+    with pytest.raises(InvalidInput, match="got bool"):
+        v * False
 
 
 def test_triple_permutation_invariance():

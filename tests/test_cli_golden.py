@@ -54,6 +54,10 @@ CASES.update({
     "chern_dual": ["chern", "dual", "--preset", P4_2, "--f", SHEAF],
     "chern_twist_negative": ["chern", "twist", "--preset", P4_2, "--f", SHEAF, "--l", "-1", "--json"],
     "json_before_command": ["--json", "threefold", "--preset", "[2,3] in P5"],
+    # dzero on a Calabi-Yau target (every point a witness) and a general-type one
+    "dzero_calabi_yau": ["dzero", "--preset", "[5] in P4", "--k", "-3..3", "--c", "-2..2"],
+    "dzero_calabi_yau_json": ["dzero", "--preset", "[5] in P4", "--k", "-3..3", "--c", "-2..2", "--json"],
+    "dzero_general_type": ["dzero", "--preset", "[6] in P4", "--k", "-3..3", "--c", "-30..30"],
     # named errors
     "missing_target": ["chi", "--rank", "2", "--c1", "1", "--c2", "1"],
     "threefold_missing_target": ["threefold"],

@@ -220,6 +220,38 @@ def test_every_witness_reevaluates_to_zero():
             assert expected_dim(X, F) == 0
 
 
+@pytest.mark.parametrize("name, k_range, c_range, bad", [
+    ("[5] in P4", (10, 12), (-2, 2), (11, -1)),  # Calabi-Yau: every point is a witness
+    ("[2] in P4", (10, 14), (0, 100), (13, 85)),  # Fano: 2c = k^2 + 1
+])
+def test_every_witness_reaches_expected_dim(monkeypatch, capsys, name, k_range, c_range, bad):
+    # k >= 10 keeps the witnesses apart from the points dzero_condition evaluates.
+    X = model(name)
+    ell = X.curve_lattice[0]
+    seen, flip = [], [False]
+
+    def recording(X, F):
+        if F.c1.coords[0] >= 10:
+            seen.append(F)
+        if flip[0] and F == ChernData(2, DivClass((bad[0],)), ell * bad[1], 0):
+            return Fraction(1)
+        return expected_dim(X, F)
+
+    monkeypatch.setattr(dzero, "expected_dim", recording)
+    report = solve_dzero(DZeroProblem(X, k_range, c_range))
+    assert bad in report.witnesses
+    assert seen == [ChernData(2, DivClass((k,)), ell * c, 0) for k, c in report.witnesses]
+
+    flip[0] = True
+    with pytest.raises(SelfCheckFailed, match=rf"^dzero witness check: witness \({bad[0]}, {bad[1]}\) "):
+        solve_dzero(DZeroProblem(X, k_range, c_range))
+    argv = ["dzero", "--preset", name, "--k", "{}..{}".format(*k_range), "--c", "{}..{}".format(*c_range)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("SelfCheckFailed: dzero witness check: ")
+    assert "Traceback" not in err
+
+
 def test_problem_validation():
     X = model("[2] in P4")
     with pytest.raises(InvalidInput):
@@ -330,6 +362,18 @@ def test_relation_rendering():
     assert relation_str((0, 0, 0)) == "0 = 0"
     assert relation_str((1, 1, 0)) == "c = -k^2"
     assert relation_str((3, 0, 2)) == "3c = -2"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "paper"], ["dzero", "--verify-paper"]])
+def test_the_search_cap_does_not_apply_to_the_claims_grid(monkeypatch, capsys, argv):
+    monkeypatch.delenv("CHERN3_MAX_ENUM", raising=False)
+    assert main(argv) == 0
+    default = capsys.readouterr()
+    monkeypatch.setenv("CHERN3_MAX_ENUM", "5000")
+    assert main(argv) == 0
+    assert capsys.readouterr() == default
+    with pytest.raises(LimitExceeded, match="10201 lattice points"):
+        solve_dzero(DZeroProblem(model("[2] in P4"), (-50, 50), (-50, 50)))
 
 
 def test_verify_paper_claims_full_run():
