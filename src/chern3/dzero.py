@@ -326,9 +326,11 @@ _CLAIMS: tuple[tuple[str, bool, tuple[int, int, int] | None], ...] = (
 )
 
 
-def verify_paper_claims(
-    k_range: tuple[int, int] = (-50, 50), c_range: tuple[int, int] = (-50, 50)
-) -> PaperClaimsReport:
+# The rectangle every claim is searched over, for both k and c.
+_CLAIMS_GRID = (-50, 50)
+
+
+def verify_paper_claims() -> PaperClaimsReport:
     """Re-derive the case analysis for the seven catalogued presets.
 
     Raises ClaimViolation when any computed report disagrees with the
@@ -338,7 +340,7 @@ def verify_paper_claims(
     entries = []
     for name, want_solvable, want_normalized in _CLAIMS:
         X = build_ci(parse_preset(name))
-        report = solve_dzero(DZeroProblem(X, k_range, c_range), cap=_DEFAULT_ENUM_CAP)
+        report = solve_dzero(DZeroProblem(X, _CLAIMS_GRID, _CLAIMS_GRID), cap=_DEFAULT_ENUM_CAP)
         if report.solvable != want_solvable:
             raise ClaimViolation(
                 name,

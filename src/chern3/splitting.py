@@ -6,11 +6,12 @@ the splitting principle, as elementary symmetric polynomials of the summed
 Chern roots.  The two routes are independent, which is the point: each one
 certifies the other.
 
-``verify_tensor_formulas`` proves the identity for each rank pair: it runs
-both routes on the r1 + r2 Chern roots taken as variables, in ``RootPoly``
-(integer polynomials truncated above total degree 3), and compares every
-coefficient.  Both sides of c_i are homogeneous of degree i <= 3, so the
-truncation drops nothing and equal coefficients are a proof for that pair.
+``verify_tensor_formulas`` proves the identity for each rank pair by a
+finite check.  Both sides of c_i are symmetric in E's roots and in F's
+roots and homogeneous of degree i <= 3, so they agree everywhere once they
+agree at the sorted points of the lattice {x in N^(r1 + r2) : sum x <= 3}:
+E's roots a partition padded with zeros, F's roots another, of total size
+at most 3.  That is at most 18 integer points per pair (``_proved``).
 The same identity is then evaluated at 36 fixed small-integer root patterns
 and at seeded random rational points: replayable samples that show a wrong
 formula as concrete numbers.  Samples run on ints, since each c_i is
@@ -25,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from math import comb, lcm
 from typing import Callable, Iterator, Sequence
 
@@ -36,84 +37,16 @@ _ROOT_BOUND = 10**6
 _MAX_TRIALS = 1000
 
 
-class RootPoly:
-    """An integer polynomial in Chern-root variables, truncated above degree 3.
-
-    ``terms`` maps each monomial to a nonzero coefficient.  A monomial is an
-    int: bits 0-1 hold its degree and bits 2i+2, 2i+3 the exponent of
-    variable i, so the product of two monomials is the sum of their keys
-    whenever the degrees add up to at most 3.  Ints act as constants, and a
-    product drops every monomial of degree above 3.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, int]) -> None:
-        self.terms = terms
-
-    @classmethod
-    def variable(cls, index: int) -> RootPoly:
-        return cls({1 + (1 << 2 * index + 2): 1})
-
-    def __add__(self, other: RootPoly | int) -> RootPoly:
-        terms = dict(self.terms)
-        for mono, coeff in _terms(other).items():
-            total = terms.get(mono, 0) + coeff
-            if total:
-                terms[mono] = total
-            else:
-                del terms[mono]
-        return RootPoly(terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: RootPoly | int) -> RootPoly:
-        return self + RootPoly({mono: -coeff for mono, coeff in _terms(other).items()})
-
-    def __mul__(self, other: RootPoly | int) -> RootPoly:
-        if type(other) is int:
-            return RootPoly({mono: coeff * other for mono, coeff in self.terms.items()} if other else {})
-        other_terms = _terms(other).items()
-        terms: dict[int, int] = {}
-        for mono_a, coeff_a in self.terms.items():
-            room = 3 - (mono_a & 3)
-            for mono_b, coeff_b in other_terms:
-                if mono_b & 3 <= room:
-                    mono = mono_a + mono_b
-                    terms[mono] = terms.get(mono, 0) + coeff_a * coeff_b
-        return RootPoly({mono: coeff for mono, coeff in terms.items() if coeff})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> RootPoly:
-        result = RootPoly({0: 1})
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, (RootPoly, int)) and self.terms == _terms(other)
-
-
-def _terms(value: RootPoly | int) -> dict[int, int]:
-    if isinstance(value, RootPoly):
-        return value.terms
-    if type(value) is not int:
-        raise TypeError(f"RootPoly coefficients are ints, got {type(value).__name__}")
-    return {0: value} if value else {}
-
-
-# A commutative ring the tensor formulas are evaluated in.
-Scalar = int | Fraction | RootPoly
-_SCALAR_TYPES = (int, Fraction, RootPoly)
+Scalar = int | Fraction
+_SCALAR_TYPES = (int, Fraction)
 
 
 @dataclass(frozen=True)
 class ScalarChern:
-    """Chern classes specialized to a commutative ring: ints, Fractions or ``RootPoly``.
+    """Chern classes specialized to numbers: ints or Fractions.
 
-    A "p/q" string from the API is parsed to a Fraction; other values are
-    kept as they are, and floats and bools are rejected.
+    A "p/q" string from the API is parsed to a Fraction; ints and Fractions
+    are kept as they are, and floats and bools are rejected.
     """
 
     c1: Scalar
@@ -172,10 +105,10 @@ def tensor_from_roots(spec: RootSpec) -> ScalarChern:
 def tensor_closed_form(r1: int, r2: int, cE: ScalarChern, cF: ScalarChern) -> ScalarChern:
     """Closed-form c_i(E (x) F) for rank(E) = r1, rank(F) = r2.
 
-    Every coefficient is an integer, so the classes may lie in any
-    commutative ring.  Binomial coefficients C(r, k) vanish for r < k, which
-    makes the formulas uniform over all ranks >= 1, and (r - 1)(n - 2) is
-    always even.  The c3(E) and c3(F) contributions carry the complementary
+    Every coefficient is an integer, so int classes give int classes: the
+    proof and the samples evaluate it on ints.  Binomial coefficients C(r, k)
+    vanish for r < k, which makes the formulas uniform over all ranks >= 1,
+    and (r - 1)(n - 2) is always even.  The c3(E) and c3(F) contributions carry the complementary
     rank alone: specializing F to a trivial bundle of rank r2 turns the
     product into the direct sum of r2 copies of E, whose total Chern class
     is c(E)^r2, so c3(E) enters with coefficient exactly r2
@@ -283,10 +216,30 @@ def _agrees(form: ClosedForm, r1: int, r2: int, rootsE: Sequence[Scalar], rootsF
     return (predicted.c1, predicted.c2, predicted.c3) == _elementary_symmetric(summed)
 
 
+def _orbit_points(rank: int) -> list[tuple[int, ...]]:
+    # Every partition of size <= 3 into at most ``rank`` parts, padded with zeros.
+    return [roots for roots in combinations_with_replacement(range(4), rank) if sum(roots) <= 3]
+
+
 def _proved(form: ClosedForm, r1: int, r2: int) -> bool:
-    """Compare the two routes coefficient by coefficient, roots as variables."""
-    roots = [RootPoly.variable(i) for i in range(r1 + r2)]
-    return _agrees(form, r1, r2, roots[:r1], roots[r1:])
+    """Check both routes at one point per orbit of the degree-3 lattice.
+
+    Let P_i = form(...).c_i - e_i(summed roots).  The form sees only e_j(E)
+    and e_j(F), so P_i is invariant under permuting E's roots and F's roots,
+    and it has degree <= 3 in the roots, as both sides of c_i are homogeneous
+    of degree i.  A P of degree <= d vanishing on {x in N^n : sum x <= d} is 0,
+    by induction on n + d: P(0, x') vanishes on the lattice of n - 1
+    variables, so P = x1 Q, and Q(x1 + 1, x') vanishes on the lattice of
+    degree d - 1, so Q = 0.  By invariance, vanishing on the lattice is
+    vanishing at one sorted point per orbit, which is a pair of partitions.
+    """
+    pointsF = _orbit_points(r2)
+    return all(
+        _agrees(form, r1, r2, rootsE, rootsF)
+        for rootsE in _orbit_points(r1)
+        for rootsF in pointsF
+        if sum(rootsE) + sum(rootsF) <= 3
+    )
 
 
 def _counterexample(form: ClosedForm, r1: int, r2: int, point: Point) -> Counterexample | None:
@@ -318,9 +271,9 @@ def verify_tensor_formulas(
 ) -> TensorFormulaReport:
     """Prove, then sample, the closed form for every rank pair up to max_rank.
 
-    ``closed_form`` must work over any commutative ring (ints, Fractions and
-    ``RootPoly``), as ``tensor_closed_form`` does.  A pair passes when the
-    proof, all 36 grid points and all ``trials`` random points agree.
+    ``closed_form`` must work on ints and Fractions, as ``tensor_closed_form``
+    does.  A pair passes when the proof's partition points, all 36 grid
+    points and all ``trials`` random points agree.
     Identity failures are report content, never exceptions; the first
     sampled counterexample per rank pair is recorded so a red run replays
     directly (a pair refuted by the proof alone has none).

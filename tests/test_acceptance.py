@@ -37,7 +37,7 @@ def _report(number: int, text: str) -> None:
 def test_criterion_1_case_analysis_suite():
     """Certified solvability pattern over the seven catalogued presets."""
     with pytest.warns(RedundantDegreeWarning):
-        report = verify_paper_claims(k_range=(-50, 50), c_range=(-50, 50))
+        report = verify_paper_claims()
     by_name = {entry.preset: entry.report for entry in report.entries}
 
     quadric = by_name["[2] in P4"]

@@ -192,8 +192,8 @@ def valid_payloads(draw, schema):
 
 @pytest.mark.parametrize("command", PAYLOAD_SCHEMAS)
 def test_no_schema_valid_payload_ends_in_a_traceback(monkeypatch, command):
-    # Small enough that the paper claims' 101 x 101 grids stop at the cap: they
-    # take no input from the payload, and the golden transcript renders them.
+    # Small enough that every drawn dzero rectangle stays cheap; the paper
+    # claims' fixed 101 x 101 grids are not user searches and ignore the cap.
     monkeypatch.setenv("CHERN3_MAX_ENUM", "500")
     drawn = []
 

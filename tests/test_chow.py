@@ -44,6 +44,8 @@ def test_make_threefold_rejects_asymmetric_form():
 def test_make_threefold_rejects_length_mismatch():
     with pytest.raises(DimensionMismatch):
         make_threefold(["a"], (((1,),),), (1, 2), (1,))
+    with pytest.raises(DimensionMismatch, match="at least one divisor generator"):
+        make_threefold([], [], [], [])
 
 
 def test_symmetry_validation_catches_random_perturbation():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
+from chern3 import splitting
 from chern3.chow import threefold_to_json
 from chern3.ci import CIPreset, build_ci
 from chern3.cli import (
@@ -403,6 +404,29 @@ def test_main_verify_suite_exit_zero(capsys):
     assert main(["verify", "--tensor-formulas", "--max-rank", "3", "--trials", "20"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--tensor-formulas", "--max-rank", "2", "--trials", "5", "--json"],
+    ["verify", "--suite", "paper", "--json"],
+])
+def test_main_a_failing_verification_suite_exits_1(monkeypatch, capsys, argv):
+    good = splitting.tensor_closed_form
+
+    def flipped(r1, r2, cE, cF):
+        right = good(r1, r2, cE, cF)
+        return ScalarChern(right.c1, right.c2 - 2 * r2 * cE.c2, right.c3)
+
+    monkeypatch.setattr(splitting, "tensor_closed_form", flipped)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert '"ok": false' in out
+    assert "Traceback" not in out + err
+
+
+def test_validate_payload_rejects_an_unknown_command():
+    with pytest.raises(SchemaError, match="unknown command 'nope'"):
+        validate_payload("nope", {})
 
 
 def test_main_dzero_flags_and_verify_paper(capsys):

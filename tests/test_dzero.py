@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import random
 import time
 import warnings
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -392,3 +394,36 @@ def test_verify_paper_claims_full_run():
         assert not entry.solvable
         assert entry.obstruction is not None
         assert entry.witnesses == ()
+
+
+# One claim per raise site of verify_paper_claims.  A doctor, where there is
+# one, edits the computed report to break a claim the grid itself keeps.
+WRONG_CLAIMS = {
+    "relation": (("[2] in P4", True, (2, -1, -2)), None,
+                 "expected relation (2, -1, -2), computed Normalized(A=2, B=-1, E=-1)"),
+    "solvability": (("[2] in P4", False, None), None,
+                    "expected solvable=False, computed True for 2c = k^2 + 1"),
+    "no-witness": (("[2] in P4", True, (2, -1, -1)), partial(dataclasses.replace, witnesses=()),
+                   "solvable but no witness in the search range"),
+    "no-certificate": (("[3] in P4", False, None), partial(dataclasses.replace, obstruction=None),
+                       "unsolvable but no certificate produced"),
+    "witness": (("[3] in P4", False, None), partial(dataclasses.replace, witnesses=((1, 1),)),
+                "witnesses ((1, 1),) contradict the claim"),
+}
+
+
+@pytest.mark.parametrize("claim, doctor, message", WRONG_CLAIMS.values(), ids=WRONG_CLAIMS)
+def test_a_wrong_claim_is_a_claim_violation(monkeypatch, capsys, claim, doctor, message):
+    monkeypatch.setattr(dzero, "_CLAIMS", (claim,))
+    if doctor is not None:
+        solve = dzero.solve_dzero
+        monkeypatch.setattr(dzero, "solve_dzero", lambda *args, **kw: doctor(solve(*args, **kw)))
+    preset = claim[0]
+    with pytest.raises(ClaimViolation) as info:
+        verify_paper_claims()
+    assert info.value.preset == preset
+    assert str(info.value) == f"{preset}: {message}"
+    assert main(["dzero", "--verify-paper"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == f"ClaimViolation: {preset}: {message}"

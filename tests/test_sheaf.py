@@ -13,7 +13,8 @@ from chern3.chow import (
     triple,
 )
 from chern3.ci import CIPreset, build_ci
-from chern3.errors import DegenerateLine, DimensionMismatch, NonIntegralRank
+from chern3.errors import DegenerateLine, DimensionMismatch, InvalidInput, NonIntegralRank
+from chern3.rationals import rat
 from chern3.sheaf import (
     ChernData,
     CharacterData,
@@ -363,3 +364,21 @@ def test_c3_is_a_plain_fraction(c3, value):
     assert type(F.c3) is Fraction and F.c3 == value
     ch = CharacterData(2, (1,), (1,), c3)
     assert type(ch.ch3) is Fraction and ch.ch3 == value
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rat(1.5),
+    lambda: DivClass((1, 1.5)),
+    lambda: ChernData(2, (1.5,), (0,), 0),
+    lambda: ChernData(2, (1,), (0,), 1.5),
+    lambda: ScalarChern(0, 1.5, 0),
+], ids=["rat", "DivClass", "ChernData.c1", "ChernData.c3", "ScalarChern"])
+def test_floats_are_rejected_everywhere(build):
+    with pytest.raises(InvalidInput, match="got float"):
+        build()
+
+
+@pytest.mark.parametrize("rank", [0, True, 2.0])
+def test_chern_data_rank_must_be_a_positive_integer(rank):
+    with pytest.raises(InvalidInput, match="rank must be a positive integer"):
+        ChernData(rank, (0,), (0,), 0)

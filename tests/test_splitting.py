@@ -1,24 +1,22 @@
 import random
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chern3.errors import EmptyRoots, InvalidInput, LimitExceeded
 from chern3.splitting import (
-    RootPoly,
     RootSpec,
     ScalarChern,
     chern_from_roots,
     tensor_closed_form,
     tensor_from_roots,
     verify_tensor_formulas,
-    _elementary_symmetric,
     _proved,
     _random_points,
-    _terms,
 )
 
 
@@ -118,6 +116,10 @@ def test_verify_guards():
         verify_tensor_formulas(max_rank=7)
     with pytest.raises(InvalidInput):
         verify_tensor_formulas(trials=0)
+    with pytest.raises(InvalidInput, match="max_rank must be at least 1"):
+        verify_tensor_formulas(max_rank=0)
+    with pytest.raises(InvalidInput, match="ranks must be positive"):
+        tensor_closed_form(0, 1, ScalarChern(0, 0, 0), ScalarChern(0, 0, 0))
 
 
 def test_reports_are_deterministic_for_a_seed():
@@ -148,13 +150,15 @@ def test_proof_alone_rejects_the_flipped_form():
 
 
 def test_a_refuted_proof_fails_the_pair_even_when_every_sample_agrees():
-    def wrong_on_variables(r1, r2, cE, cF):
+    # Wrong only where E's roots are (3, 0, ...) and F's are all 0: an orbit
+    # point of the proof that no grid pattern and no seed-1 sample reaches.
+    def wrong_at_one_orbit(r1, r2, cE, cF):
         good = tensor_closed_form(r1, r2, cE, cF)
-        if isinstance(cE.c1, RootPoly):
-            return ScalarChern(good.c1, good.c2 + cE.c1 * cF.c1, good.c3)
+        if (cE.c1, cE.c2, cE.c3, cF.c1, cF.c2, cF.c3) == (3, 0, 0, 0, 0, 0):
+            return ScalarChern(good.c1, good.c2 + 1, good.c3)
         return good
 
-    report = verify_tensor_formulas(max_rank=2, trials=5, seed=1, closed_form=wrong_on_variables)
+    report = verify_tensor_formulas(max_rank=2, trials=5, seed=1, closed_form=wrong_at_one_orbit)
     assert not report.ok
     for pair in report.pairs:
         assert not pair.passed
@@ -169,7 +173,20 @@ def test_each_pair_calls_the_closed_form_once_per_proof_and_sample():
         return tensor_closed_form(r1, r2, cE, cF)
 
     assert verify_tensor_formulas(max_rank=3, trials=7, seed=5, closed_form=counting).ok
-    assert len(calls) == 9 * (1 + 36 + 7)
+
+    def partitions(size, parts):
+        # nonincreasing tuples of at most `parts` positive integers summing to `size`
+        return sum(
+            1 for n in range(parts + 1) for p in product(range(1, size + 1), repeat=n)
+            if sum(p) == size and list(p) == sorted(p, reverse=True)
+        )
+
+    proof = sum(
+        partitions(a, r1) * partitions(b, r2)
+        for r1 in range(1, 4) for r2 in range(1, 4) for a in range(4) for b in range(4 - a)
+    )
+    assert proof == 132
+    assert len(calls) == proof + 9 * (36 + 7)
 
 
 def test_random_points_scale_the_seeded_rational_draws():
@@ -181,73 +198,39 @@ def test_random_points_scale_the_seeded_rational_draws():
             assert [Fraction(x, scale) for x in roots] == want
 
 
-# ---------------------------------------------------------------- RootPoly
-
-N_VARS = 4
-
-
-def _poly(monomials):
-    """A RootPoly from (variable indices, coefficient) pairs."""
-    terms = {}
-    for indices, coeff in monomials:
-        key = len(indices) + sum(1 << 2 * i + 2 for i in indices)
-        terms[key] = terms.get(key, 0) + coeff
-    return RootPoly({key: coeff for key, coeff in terms.items() if coeff})
+# Monomials in (c1E, c2E, c3E, c1F, c2F, c3F) as exponent tuples, of weight
+# 1 to 3: 2 of weight 1, 5 of weight 2 and 10 of weight 3.
+WEIGHTS = (1, 2, 3, 1, 2, 3)
 
 
-def _evaluate(poly, point, degree=None):
-    """Direct integer evaluation, optionally of one homogeneous part."""
-    total = 0
-    for key, coeff in poly.terms.items():
-        if degree is None or key & 3 == degree:
-            value = coeff
-            for i, x in enumerate(point):
-                value *= x ** ((key >> 2 * i + 2) & 3)
-            total += value
-    return total
+def _weight(exps):
+    return sum(w * e for w, e in zip(WEIGHTS, exps))
 
 
-_monomials = st.lists(
-    st.tuples(st.lists(st.integers(0, N_VARS - 1), max_size=3), st.integers(-20, 20)),
-    max_size=8,
-)
-_polys = _monomials.map(_poly)
-_points = st.lists(st.integers(-9, 9), min_size=N_VARS, max_size=N_VARS)
-_affine = st.lists(
-    st.tuples(st.lists(st.integers(0, N_VARS - 1), max_size=1), st.integers(-5, 5)), max_size=3
-).map(_poly)
+MONOMIALS = [exps for exps in product(range(4), repeat=6) if 1 <= _weight(exps) <= 3]
 
 
-@given(_polys, _polys, st.integers(-9, 9), _points)
-def test_root_poly_sum_matches_evaluation(p, q, k, point):
-    assert _evaluate(p + q, point) == _evaluate(p, point) + _evaluate(q, point)
-    assert _evaluate(p - q, point) == _evaluate(p, point) - _evaluate(q, point)
-    assert _evaluate(k + p, point) == k + _evaluate(p, point)
-    assert p - p == 0 and (p + q) - q == p
+@settings(deadline=None)
+@given(st.dictionaries(st.sampled_from(MONOMIALS), st.integers(-3, 3), max_size=4))
+def test_the_proof_refutes_exactly_the_perturbations_that_survive_the_ranks(combination):
+    """Adding to c_i an integer combination of weight-i monomials in the classes
+    breaks the identity exactly when a monomial with a nonzero coefficient uses
+    only c_j(E), j <= r1, and c_j(F), j <= r2: those e_j are algebraically
+    independent, and every other c_j vanishes."""
+    assert sorted(map(_weight, MONOMIALS)) == [1] * 2 + [2] * 5 + [3] * 10
 
+    def perturbed(r1, r2, cE, cF):
+        good = tensor_closed_form(r1, r2, cE, cF)
+        values = (cE.c1, cE.c2, cE.c3, cF.c1, cF.c2, cF.c3)
+        extra = [0, 0, 0]
+        for exps, coeff in combination.items():
+            extra[_weight(exps) - 1] += coeff * prod(v**e for v, e in zip(values, exps))
+        return ScalarChern(good.c1 + extra[0], good.c2 + extra[1], good.c3 + extra[2])
 
-@given(_polys, _polys, st.integers(-9, 9), _points)
-def test_root_poly_product_matches_evaluation_up_to_degree_3(p, q, k, point):
-    product = p * q
-    assert all(product.terms.values())  # no zero coefficients are stored
-    for d in range(4):
-        want = sum(_evaluate(p, point, i) * _evaluate(q, point, d - i) for i in range(d + 1))
-        assert _evaluate(product, point, d) == want
-    assert _evaluate(k * p, point) == k * _evaluate(p, point)
-    assert p**2 == p * p and p**3 == p * p * p
-
-
-@given(st.lists(_affine, max_size=7), _points)
-def test_elementary_symmetric_of_polynomial_roots_matches_evaluation(roots, point):
-    # roots of degree <= 1 give e_i of degree <= i <= 3: no truncation
-    want = _elementary_symmetric([_evaluate(r, point) for r in roots])
-    got = _elementary_symmetric(roots)
-    assert tuple(_evaluate(RootPoly(_terms(e)), point) for e in got) == want
-
-
-def test_root_poly_truncates_above_degree_3():
-    x, y = RootPoly.variable(0), RootPoly.variable(1)
-    assert x**4 == 0 and (x * y) * (x * y) == 0
-    assert (1 + x) ** 4 == 1 + 4 * x + 6 * x**2 + 4 * x**3
-    with pytest.raises(TypeError):
-        x * Fraction(1, 2)
+    for r1 in range(1, 7):
+        for r2 in range(1, 7):
+            survives = any(
+                coeff and all(e == 0 or j % 3 < (r1 if j < 3 else r2) for j, e in enumerate(exps))
+                for exps, coeff in combination.items()
+            )
+            assert _proved(perturbed, r1, r2) == (not survives), (r1, r2, combination)
