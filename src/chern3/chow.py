@@ -53,8 +53,15 @@ class _ClassVector:
 
     @classmethod
     def of(cls: type[V], value: V | Sequence[int | str | Fraction]) -> V:
-        """``value`` itself if it is a ``cls`` already, else a ``cls`` with its coordinates."""
-        return value if isinstance(value, cls) else cls(tuple(value))
+        """``value`` itself if it is a ``cls`` already, else a ``cls`` with its coordinates.
+
+        A class of the other codimension is an error, as it is for ``+``.
+        """
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, _ClassVector):
+            raise InvalidInput(f"cannot use {type(value).__name__} as {cls.__name__}")
+        return cls(tuple(value))
 
     def __len__(self) -> int:
         return len(self.coords)

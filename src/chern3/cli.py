@@ -2,9 +2,14 @@
 
 Every request is a (command, payload) pair; payloads are validated against
 per-command JSON schemas before any computation runs, and all rationals in
-responses are rendered as "p/q" strings, never floating point.  Table mode
-renders the same data as JSON mode, flattened to name/value rows, so the
-two modes cannot drift apart.
+responses are rendered as "p/q" strings, never floating point.
+
+``Response.data`` may hold report objects (dataclasses, named tuples,
+tuples and Fractions) beside JSON values.  One walker over those objects
+renders both modes: JSON text, and the same data flattened to name/value
+rows for a table, so the two modes cannot drift apart.  Output is written
+in chunks; rows of ints, such as dzero witnesses, are formatted a row at a
+time and never copied.
 
 The schemas are checked by ``chern3.checker``, which reads exactly the
 keywords they use and gives jsonschema's messages; building the schema
@@ -25,11 +30,13 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, NamedTuple
 
 from . import checker
 from .chow import (
@@ -215,23 +222,6 @@ def _handle_ledger(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     return {"ext1": ext1_ledger(ledger)}, []
 
 
-_SCALARS = (type(None), bool, int, str)
-
-
-def _wire(value: Any) -> Any:
-    """A report as JSON data: dataclasses and named tuples become objects in
-    field order, other tuples lists, and Fractions "p/q" strings."""
-    if type(value) in _SCALARS:
-        return value
-    if type(value) is tuple:
-        return [_wire(item) for item in value]
-    if isinstance(value, Fraction):
-        return rat_str(value)
-    if isinstance(value, tuple):
-        return dict(zip(value._fields, map(_wire, value)))
-    return {f.name: _wire(getattr(value, f.name)) for f in fields(value)}
-
-
 def _claims_json(claims: PaperClaimsReport) -> dict:
     return {
         "presets": [
@@ -244,7 +234,7 @@ def _claims_json(claims: PaperClaimsReport) -> dict:
                     if entry.report.obstruction is not None
                     else None
                 ),
-                "witnesses": [[k, c] for k, c in entry.report.witnesses[:8]],
+                "witnesses": entry.report.witnesses[:8],
             }
             for entry in claims.entries
         ],
@@ -261,7 +251,7 @@ def _handle_dzero(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     k_range = tuple(payload.get("k_range", (-50, 50)))
     c_range = tuple(payload.get("c_range", (-50, 50)))
     report = solve_dzero(DZeroProblem(X, k_range, c_range))
-    return {"threefold": label, **_wire(report)}, []
+    return {"threefold": label, **{f.name: getattr(report, f.name) for f in fields(report)}}, []
 
 
 def _handle_verify(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
@@ -270,11 +260,10 @@ def _handle_verify(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
         trials=payload.get("trials", 100),
         seed=payload.get("seed", 42),
     )
-    report = _wire(formulas)
     if "suite" not in payload:
-        return {"ok": formulas.ok, "tensor_formulas": report}, []
+        return {"ok": formulas.ok, "tensor_formulas": formulas}, []
     claims = _claims_json(verify_paper_claims())
-    return {"suite": "paper", "ok": formulas.ok, "claims": claims, "tensor_formulas": report}, []
+    return {"suite": "paper", "ok": formulas.ok, "claims": claims, "tensor_formulas": formulas}, []
 
 
 # ASCII digits only: "\d" would also take digits such as "١", which int() parses.
@@ -519,7 +508,120 @@ def run(request: Request) -> Response:
     return Response("ok", request.command, data, tuple(audit))
 
 
-def response_json(response: Response) -> str:
+_escape = json.encoder.encode_basestring_ascii
+_LEAVES = frozenset({str, int, bool, type(None), Fraction})
+_CHUNK_ROWS = 4096  # int rows per chunk of output
+
+
+class _IntRows(NamedTuple):
+    """A table block: ``rows`` are tuples of ``width`` ints, named ``name[i][j]``."""
+
+    name: str
+    rows: tuple | list
+    width: int
+
+
+def _int_row_width(rows: tuple | list) -> int:
+    """n if ``rows`` is a nonempty sequence of plain tuples of n >= 1 ints, else 0.
+
+    Such a block, a ``witnesses`` list say, is formatted a row at a time.
+    A bool is not an int here: JSON writes it as ``true``.
+    """
+    if not rows or set(map(type, rows)) != {tuple}:
+        return 0
+    widths = set(map(len, rows))
+    if len(widths) != 1:
+        return 0
+    (width,) = widths
+    return width if width and set(map(type, chain.from_iterable(rows))) == {int} else 0
+
+
+def _members(value: Any) -> list[tuple[str, Any]] | None:
+    """The (key, member) pairs of a dict, named tuple or dataclass, in
+    insertion or field order; None for a scalar."""
+    if type(value) is dict:
+        return list(value.items())
+    if isinstance(value, tuple):
+        return list(zip(value._fields, value))
+    if is_dataclass(value):
+        return [(f.name, getattr(value, f.name)) for f in fields(value)]
+    return None
+
+
+def _json_scalar(value: Any) -> str:
+    if type(value) is str:
+        return _escape(value)
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, Fraction):
+        return _escape(rat_str(value))
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    raise TypeError(f"cannot render {type(value).__name__} as JSON")
+
+
+def _table_scalar(value: Any) -> str:
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    return rat_str(value) if isinstance(value, Fraction) else str(value)
+
+
+def _walk(value: Any, at: str, table: bool) -> Iterator[Any]:
+    """Render a report in one pass over its objects.
+
+    Dicts, named tuples and dataclasses are objects, lists and plain tuples
+    arrays, and Fractions "p/q" strings.  For JSON (``table`` false) it
+    yields text, ``at`` being the newline and indent that ``value``'s last
+    line starts with, and sorts keys as ``json.dumps(sort_keys=True)``
+    does.  For a table it yields a (name, text) row per scalar, ``at`` being
+    the name of ``value``, or an ``_IntRows`` block, in field order.
+    """
+    array = type(value) is list or type(value) is tuple
+    if array:
+        width = _int_row_width(value)
+        if width and table:
+            yield _IntRows(at, value, width)
+            return
+        if width:
+            inner = at + "  "
+            row = "[" + ",".join([inner + "  %d"] * width) + inner + "]"
+            glue = "," + inner
+            for start in range(0, len(value), _CHUNK_ROWS):
+                chunk = value[start:start + _CHUNK_ROWS]
+                yield (glue if start else "[" + inner) + glue.join(map(row.__mod__, chunk))
+            yield at + "]"
+            return
+        members = enumerate(value)
+    else:
+        members = _members(value)
+        if members is None:
+            yield (at, _table_scalar(value)) if table else _json_scalar(value)
+            return
+    if table:
+        for key, member in members:
+            name = f"{at}[{key}]" if array else f"{at}.{key}" if at else str(key)
+            if type(member) in _LEAVES:
+                yield name, _table_scalar(member)
+            else:
+                yield from _walk(member, name, True)
+        return
+    if not array:
+        members.sort(key=itemgetter(0))
+    inner = at + "  "
+    opening, closing = "[]" if array else "{}"
+    sep = opening
+    for key, member in members:
+        head = sep + inner if array else sep + inner + _escape(key) + ": "
+        sep = ","
+        if type(member) in _LEAVES:
+            yield head + _json_scalar(member)
+        else:
+            yield head
+            yield from _walk(member, inner, False)
+    yield at + closing if sep == "," else opening + closing
+
+
+def _json_chunks(response: Response) -> Iterator[str]:
     doc = {
         "schema": SCHEMA_VERSION,
         "status": response.status,
@@ -527,33 +629,58 @@ def response_json(response: Response) -> str:
         "data": response.data,
         "audit": [{"name": n, "value": v} for n, v in response.audit],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return _walk(doc, "\n", False)
 
 
-def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
-    if isinstance(value, dict):
-        for key in value:
-            _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], rows)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _flatten(f"{prefix}[{i}]", item, rows)
-    elif isinstance(value, bool):
-        rows.append((prefix, "true" if value else "false"))
-    else:
-        rows.append((prefix, "null" if value is None else str(value)))
+def _name_length(item: tuple[str, str] | _IntRows) -> int:
+    if type(item) is _IntRows:  # its longest name is its last one
+        return len(f"{item.name}[{len(item.rows) - 1}][{item.width - 1}]")
+    return len(item[0])
+
+
+def _table_rows(block: _IntRows, width: int) -> Iterator[str]:
+    """The lines of an int-row block, one format string per row.
+
+    Rows whose indices have d digits share one padding, so each run of
+    them shares one format string.
+    """
+    name = block.name.replace("{", "{{").replace("}", "}}")
+    start, stop = 0, len(block.rows)
+    while start < stop:
+        digits = len(str(start))
+        end = min(10**digits, stop)
+        pad = [" " * (width - len(block.name) - digits - 4 - len(str(j))) for j in range(block.width)]
+        # "\n  name[{0}][j]<pad>  {j + 1}" per column: {0} is the row index.
+        row = "".join(f"\n  {name}[{{0}}][{j}]{pad[j]}  {{{j + 1}}}" for j in range(block.width))
+        for first in range(start, end, _CHUNK_ROWS):
+            last = min(first + _CHUNK_ROWS, end)
+            yield "".join(map(row.format, range(first, last), *zip(*block.rows[first:last])))
+        start = end
+
+
+def _table_chunks(response: Response) -> Iterator[str]:
+    # An int-row block is one item, so the items are as small as the report.
+    items = list(_walk(response.data, "", True))
+    width = max(map(_name_length, items), default=0)
+    yield f"{response.command}: {response.status}"
+    for item in items:
+        if type(item) is _IntRows:
+            yield from _table_rows(item, width)
+        else:
+            yield f"\n  {item[0].ljust(width)}  {item[1]}"
+    if response.audit:
+        yield "\naudit:"
+        audit_width = max(len(name) for name, _ in response.audit)
+        for name, value in response.audit:
+            yield f"\n  {name.ljust(audit_width)}  {value}"
+
+
+def response_json(response: Response) -> str:
+    return "".join(_json_chunks(response))
 
 
 def response_table(response: Response) -> str:
-    rows: list[tuple[str, str]] = []
-    _flatten("", response.data, rows)
-    lines = [f"{response.command}: {response.status}"]
-    width = max((len(name) for name, _ in rows), default=0)
-    lines += [f"  {name.ljust(width)}  {value}" for name, value in rows]
-    if response.audit:
-        lines.append("audit:")
-        audit_width = max(len(name) for name, _ in response.audit)
-        lines += [f"  {name.ljust(audit_width)}  {value}" for name, value in response.audit]
-    return "\n".join(lines)
+    return "".join(_table_chunks(response))
 
 
 # Rationals, vectors and ranges may start with "-".
@@ -634,6 +761,13 @@ def _payload_from_args(args: argparse.Namespace) -> Request:
     return Request(args.command, payload, "json" if args.json else "table")
 
 
+def _write(stream: Any, chunks: Iterator[str]) -> None:
+    """Write the report a chunk at a time, so it is never one string."""
+    for chunk in chunks:
+        stream.write(chunk)
+    stream.write("\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -650,13 +784,13 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
             request = _payload_from_args(args)
         response = run(request)
-        rendered = (
-            response_json(response) if request.output_mode == "json" else response_table(response)
-        )
+        chunks = _json_chunks(response) if request.output_mode == "json" else _table_chunks(response)
         if args.out:
-            Path(args.out).write_text(rendered + "\n", encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as out:
+                _write(out, chunks)
         else:
-            print(rendered, flush=True)
+            _write(sys.stdout, chunks)
+            sys.stdout.flush()
     except SchemaError as exc:
         print(f"SchemaError: {exc}", file=sys.stderr)
         return 2

@@ -351,7 +351,8 @@ def verify_paper_claims() -> PaperClaimsReport:
             if report.normalized != want_normalized:
                 raise ClaimViolation(
                     name,
-                    f"expected relation {want_normalized}, computed {report.normalized}",
+                    f"expected relation {relation_str(want_normalized)}, "
+                    f"computed {relation_str(report.normalized)}",
                 )
             if not report.witnesses:
                 raise ClaimViolation(name, "solvable but no witness in the search range")

@@ -34,8 +34,10 @@ class ChernData:
     c3: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
+        if type(self.rank) is not int or self.rank < 1:
             raise InvalidInput(f"rank must be a positive integer, got {self.rank!r}")
+        if type(self.c1) is DivClass and type(self.c2) is CurveClass and type(self.c3) is Fraction:
+            return  # already coerced, as for the re-checked dzero witnesses
         object.__setattr__(self, "c1", DivClass.of(self.c1))
         object.__setattr__(self, "c2", CurveClass.of(self.c2))
         object.__setattr__(self, "c3", rat(self.c3))

@@ -1,20 +1,24 @@
+import dataclasses
 import json
 import re
 from fractions import Fraction
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chern3 import splitting
+from chern3 import cli, splitting
 from chern3.chow import threefold_to_json
 from chern3.ci import CIPreset, build_ci
 from chern3.cli import (
+    COMMANDS,
     PAYLOAD_SCHEMAS,
     REQUEST_SCHEMA,
     Request,
+    Response,
     _RAT,
     _schema_message,
-    _wire,
     load_config,
     main,
     response_json,
@@ -22,13 +26,27 @@ from chern3.cli import (
     run,
     validate_payload,
 )
+from chern3.dzero import Condition, DZeroReport, Normalized, Obstruction
 from chern3.errors import InvalidInput, SchemaError
-from chern3.rationals import rat
-from chern3.splitting import ScalarChern, tensor_closed_form, verify_tensor_formulas
+from chern3.rationals import rat, rat_str
+from chern3.splitting import (
+    Counterexample,
+    RankPairResult,
+    RootSpec,
+    ScalarChern,
+    TensorFormulaReport,
+    tensor_closed_form,
+    verify_tensor_formulas,
+)
 
 
 def run_json(command, payload):
     return run(Request(command, payload, "json"))
+
+
+def rendered_data(response):
+    """``data`` as the JSON output has it: report objects become JSON values."""
+    return json.loads(response_json(response))["data"]
 
 
 # ---------------------------------------------------------------- run()
@@ -96,19 +114,19 @@ def test_run_ledger():
 
 def test_run_dzero():
     payload = {"preset": "[2] in P4", "k_range": [-5, 5], "c_range": [-5, 5]}
-    resp = run_json("dzero", payload)
-    assert resp.data["solvable"] is True
-    assert resp.data["relation"] == "2c = k^2 + 1"
-    assert [1, 1] in resp.data["witnesses"]
-    assert resp.data["grid_checked"] is True
+    data = rendered_data(run_json("dzero", payload))
+    assert data["solvable"] is True
+    assert data["relation"] == "2c = k^2 + 1"
+    assert [1, 1] in data["witnesses"]
+    assert data["grid_checked"] is True
 
 
 def test_run_verify_paper_suite():
-    resp = run_json("verify", {"suite": "paper"})
-    assert resp.data["ok"] is True
-    assert resp.data["claims"]["solvable_count"] == 2
-    assert resp.data["claims"]["certificate_count"] == 5
-    assert resp.data["tensor_formulas"]["ok"] is True
+    data = rendered_data(run_json("verify", {"suite": "paper"}))
+    assert data["ok"] is True
+    assert data["claims"]["solvable_count"] == 2
+    assert data["claims"]["certificate_count"] == 5
+    assert data["tensor_formulas"]["ok"] is True
 
 
 def test_run_custom_threefold_payload():
@@ -373,6 +391,146 @@ def test_json_output_is_idempotent():
     assert run(Request("chi", payload, "json")).data["chi"] == "4"
 
 
+# The renderers the walker replaced, kept as its oracle: ``_wire`` copied a
+# report into JSON data, which ``json.dumps`` or ``_flatten`` then rendered.
+
+
+def _wire(value):
+    """Report objects as JSON data: dataclasses and named tuples become objects
+    in field order, other tuples lists, and Fractions "p/q" strings; dicts and
+    lists, which ``Response.data`` held already, are copied through."""
+    if type(value) in (type(None), bool, int, str):
+        return value
+    if type(value) in (tuple, list):
+        return [_wire(item) for item in value]
+    if type(value) is dict:
+        return {key: _wire(item) for key, item in value.items()}
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, tuple):
+        return dict(zip(value._fields, map(_wire, value)))
+    return {f.name: _wire(getattr(value, f.name)) for f in dataclasses.fields(value)}
+
+
+def _flatten(prefix, value, rows):
+    if isinstance(value, dict):
+        for key in value:
+            _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], rows)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _flatten(f"{prefix}[{i}]", item, rows)
+    elif isinstance(value, bool):
+        rows.append((prefix, "true" if value else "false"))
+    else:
+        rows.append((prefix, "null" if value is None else str(value)))
+
+
+def old_response_json(response):
+    doc = {
+        "schema": "1",
+        "status": response.status,
+        "command": response.command,
+        "data": _wire(response.data),
+        "audit": [{"name": n, "value": v} for n, v in response.audit],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def old_response_table(response):
+    rows = []
+    _flatten("", _wire(response.data), rows)
+    lines = [f"{response.command}: {response.status}"]
+    width = max((len(name) for name, _ in rows), default=0)
+    lines += [f"  {name.ljust(width)}  {value}" for name, value in rows]
+    if response.audit:
+        lines.append("audit:")
+        audit_width = max(len(name) for name, _ in response.audit)
+        lines += [f"  {name.ljust(audit_width)}  {value}" for name, value in response.audit]
+    return "\n".join(lines)
+
+
+_ints = st.integers()
+_fractions = st.fractions()
+_scalars = st.none() | st.booleans() | _ints | _fractions | st.text()
+
+
+def _rows(row):
+    return st.lists(row).flatmap(lambda rows: st.sampled_from([rows, tuple(rows)]))
+
+
+# Blocks at the edge of the int-row fast path: witness pairs, 3-int and
+# 10-int rows, a bool in a row, rows of unequal length, and rows mixed with
+# other items.
+_int_rows = st.one_of(
+    _rows(st.tuples(_ints, _ints)),
+    _rows(st.tuples(_ints, _ints, _ints)),
+    _rows(st.tuples(*[_ints] * 10)),
+    _rows(st.tuples(_ints, st.booleans())),
+    _rows(st.tuples(_ints) | st.tuples(_ints, _ints)),
+    _rows(st.tuples(_ints, _ints) | st.lists(_ints, max_size=2) | _ints | st.just(())),
+)
+_roots = st.lists(st.fractions(-9, 9, max_denominator=9), min_size=1, max_size=3).map(tuple)
+_scalar_chern = st.builds(ScalarChern, _ints | _fractions, _ints | _fractions, _ints | _fractions)
+_counterexample = st.builds(Counterexample, st.builds(RootSpec, _roots, _roots), _scalar_chern, _scalar_chern)
+_reports = st.one_of(
+    st.builds(DZeroReport, st.builds(Condition, _fractions, _fractions, _fractions),
+              st.builds(Normalized, _ints, _ints, _ints), st.text(), st.booleans(),
+              st.none() | _ints, st.none() | st.lists(_ints).map(tuple),
+              st.none() | st.builds(Obstruction, st.text(), _ints, st.text()),
+              st.lists(st.tuples(_ints, _ints)).map(tuple), st.tuples(_ints, _ints),
+              st.tuples(_ints, _ints), st.booleans()),
+    st.builds(TensorFormulaReport, _ints, _ints, _ints, st.booleans(), st.lists(st.builds(
+        RankPairResult, _ints, _ints, st.booleans(), _ints, st.none() | _counterexample)).map(tuple)),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        _rows(children),
+        st.dictionaries(st.text(), children, max_size=4),
+        st.builds(Normalized, children, children, children),
+        st.builds(Obstruction, children, children, children),
+    )
+
+
+_values = st.recursive(_scalars | _int_rows | _reports, _containers, max_leaves=12)
+_responses = st.builds(
+    Response, st.just("ok"), st.sampled_from(sorted(COMMANDS)),
+    st.dictionaries(st.text(), _values, max_size=5),
+    st.lists(st.tuples(st.text(min_size=1), st.text())).map(tuple),
+)
+
+
+@settings(deadline=None)
+@given(_responses, st.integers(1, 4))
+def test_the_walker_renders_what_the_old_renderers_did(response, chunk_rows):
+    with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
+        assert response_json(response) == old_response_json(response)
+        assert response_table(response) == old_response_table(response)
+
+
+# One request per command, the search on a Calabi-Yau target (every point a witness).
+REQUESTS_OF_EVERY_COMMAND = [
+    ("threefold", {"ambient": 5, "degrees": [2, 3]}),
+    ("chern", {"op": "tensor", "preset": "[2] in P4", "E": {"rank": 2, "c1": ["1"], "c2": ["1"], "c3": "0"},
+               "F": {"rank": 3, "c1": ["1/2"], "c2": ["1"], "c3": "1"}}),
+    ("chi", {"preset": "[2] in P4", "rank": 2, "c1": [1], "c2": [1], "c3": "0"}),
+    ("moduli-dim", {"preset": "[2,3] in P5", "rank": 2, "c1": [1], "c2": [3], "c3": "0"}),
+    ("serre", {"preset": "[2] in P4", "direction": "to-genus", "det": ["1"], "c2": ["1"], "c3": "1"}),
+    ("ledger", {"h0_N": 2, "h0_F": 3, "h1_IC_zero": True}),
+    ("dzero", {"preset": "[5] in P4", "k_range": [-12, 110], "c_range": [-1, 1]}),
+    ("dzero", {"verify_paper": True}),
+    ("verify", {"suite": "paper", "max_rank": 2, "trials": 3}),
+]
+
+
+@pytest.mark.parametrize("command, payload", REQUESTS_OF_EVERY_COMMAND)
+def test_every_command_renders_as_the_old_renderers_did(command, payload):
+    response = run(Request(command, payload))
+    assert response_json(response) == old_response_json(response)
+    assert response_table(response) == old_response_table(response)
+
+
 # ---------------------------------------------------------------- main()
 
 
@@ -580,15 +738,31 @@ def test_wire_renders_a_tensor_counterexample_as_rationals():
         return ScalarChern(good.c1, good.c2 - 2 * r2 * cE.c2, good.c3)
 
     report = verify_tensor_formulas(max_rank=2, trials=5, seed=42, closed_form=flipped)
-    doc = json.loads(json.dumps(_wire(report)))
-    assert doc["ok"] is False and list(doc) == ["max_rank", "trials", "seed", "ok", "pairs"]
+    response = Response("ok", "verify", {"ok": report.ok, "tensor_formulas": report}, ())
+    doc = rendered_data(response)["tensor_formulas"]
+    # JSON sorts keys; the table keeps field order.
+    assert doc["ok"] is False and list(doc) == ["max_rank", "ok", "pairs", "seed", "trials"]
+    names = [line.split()[0] for line in response_table(response).splitlines()[1:]]
+    assert names[:5] == ["ok", "tensor_formulas.max_rank", "tensor_formulas.trials",
+                         "tensor_formulas.seed", "tensor_formulas.ok"]
     pair = next(p for p in doc["pairs"] if not p["passed"])
-    assert list(pair) == ["r1", "r2", "passed", "grid_checks", "counterexample"]
+    assert list(pair) == ["counterexample", "grid_checks", "passed", "r1", "r2"]
     counterexample = pair["counterexample"]
-    assert list(counterexample) == ["spec", "closed_form", "from_roots"]
+    assert list(counterexample) == ["closed_form", "from_roots", "spec"]
     assert list(counterexample["spec"]) == ["rootsE", "rootsF"]
     assert list(counterexample["closed_form"]) == ["c1", "c2", "c3"]
     leaves = [*counterexample["spec"]["rootsE"], *counterexample["spec"]["rootsF"],
               *counterexample["closed_form"].values(), *counterexample["from_roots"].values()]
     assert all(isinstance(x, str) and re.fullmatch(r"-?\d+(/\d+)?", x) for x in leaves)
     assert counterexample["closed_form"] != counterexample["from_roots"]
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_main_out_writes_the_bytes_of_stdout(tmp_path, capsysbinary, mode):
+    argv = ["dzero", "--preset", "[5] in P4", "--k", "-60..60", "--c", "-1..1", *mode]
+    assert main(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    out = tmp_path / "report"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == stdout

@@ -400,7 +400,7 @@ def test_verify_paper_claims_full_run():
 # one, edits the computed report to break a claim the grid itself keeps.
 WRONG_CLAIMS = {
     "relation": (("[2] in P4", True, (2, -1, -2)), None,
-                 "expected relation (2, -1, -2), computed Normalized(A=2, B=-1, E=-1)"),
+                 "expected relation 2c = k^2 + 2, computed 2c = k^2 + 1"),
     "solvability": (("[2] in P4", False, None), None,
                     "expected solvable=False, computed True for 2c = k^2 + 1"),
     "no-witness": (("[2] in P4", True, (2, -1, -1)), partial(dataclasses.replace, witnesses=()),

@@ -382,3 +382,14 @@ def test_floats_are_rejected_everywhere(build):
 def test_chern_data_rank_must_be_a_positive_integer(rank):
     with pytest.raises(InvalidInput, match="rank must be a positive integer"):
         ChernData(rank, (0,), (0,), 0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ChernData(2, DivClass((1,)), DivClass((1,)), 0), "cannot use DivClass as CurveClass"),
+    (lambda: ChernData(2, CurveClass((1,)), CurveClass((1,)), 0), "cannot use CurveClass as DivClass"),
+    (lambda: CharacterData(2, DivClass((1,)), DivClass((1,)), 0), "cannot use DivClass as CurveClass"),
+    (lambda: CharacterData(2, CurveClass((1,)), CurveClass((1,)), 0), "cannot use CurveClass as DivClass"),
+])
+def test_a_class_of_the_other_codimension_is_named(build, message):
+    with pytest.raises(InvalidInput, match=message):
+        build()
