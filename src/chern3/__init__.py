@@ -60,7 +60,7 @@ from .moduli import (
     serre_c3,
     serre_genus,
 )
-from .rationals import rat, rat_str
+from .rationals import rat
 from .sheaf import (
     CharacterData,
     ChernData,

@@ -12,6 +12,12 @@ Errors come in schema order with jsonschema's message texts and paths, and
 as it would from jsonschema.  Two choices differ on purpose: ``"integer"``
 means a Python ``int`` (jsonschema also takes an integral float such as
 ``2.0``), and a ``pattern`` must match the whole string (``re.fullmatch``).
+
+Errors are flat: a ``oneOf`` error keeps no tree of its branches' errors.
+jsonschema's ``best_match`` descends into that tree only when one branch
+error is strictly more relevant than the others, and the CLI's ``oneOf``
+branches are each ``{"required": [key]}``, whose errors always tie; so the
+most relevant error of the flat list is the one jsonschema picks.
 """
 
 from __future__ import annotations
@@ -43,33 +49,20 @@ def _same(x: Any, y: Any) -> bool:
 
 class Violation:
     """One way an instance breaks a schema, shaped like jsonschema's
-    ``ValidationError``: ``path`` and ``schema_path`` are relative to the
-    error's ``parent``, whose ``context`` holds it."""
+    ``ValidationError``; ``path`` and ``schema_path`` start at the root."""
 
-    __slots__ = ("message", "validator", "instance", "schema", "path", "schema_path",
-                 "context", "parent")
+    __slots__ = ("message", "validator", "instance", "schema", "path", "schema_path")
 
-    def __init__(self, message: str, context: Iterable[Violation] = ()) -> None:
+    def __init__(self, message: str) -> None:
         self.message = message
         self.validator: str | None = None
         self.instance: Any = None
         self.schema: dict | None = None
         self.path: deque = deque()
         self.schema_path: deque = deque()
-        self.context = list(context)
-        self.parent: Violation | None = None
-        for error in self.context:
-            error.parent = self
 
-    @property
-    def absolute_path(self) -> deque:
-        return self.path if self.parent is None else self.parent.absolute_path + self.path
-
-    @property
-    def absolute_schema_path(self) -> deque:
-        if self.parent is None:
-            return self.schema_path
-        return self.parent.absolute_schema_path + self.schema_path
+    absolute_path = property(lambda self: self.path)
+    absolute_schema_path = property(lambda self: self.schema_path)
 
 
 def _descend(instance: Any, schema: dict, path: Any = None,
@@ -169,20 +162,11 @@ def _const(instance, value, schema):
 
 
 def _one_of(instance, subschemas, schema):
-    candidates = enumerate(subschemas)
-    context: list[Violation] = []
-    for index, subschema in candidates:
-        errors = list(_descend(instance, subschema, schema_path=index))
-        if not errors:
-            first_valid = subschema
-            break
-        context += errors
-    else:
-        yield Violation(f"{instance!r} is not valid under any of the given schemas", context)
-    more_valid = [subschema for _, subschema in candidates if _valid(instance, subschema)]
-    if more_valid:
-        more_valid.append(first_valid)
-        listed = ", ".join(map(repr, more_valid))
+    valid = [subschema for subschema in subschemas if _valid(instance, subschema)]
+    if not valid:
+        yield Violation(f"{instance!r} is not valid under any of the given schemas")
+    elif len(valid) > 1:  # jsonschema lists the later valid branches, then the first
+        listed = ", ".join(map(repr, valid[1:] + valid[:1]))
         yield Violation(f"{instance!r} is valid under each of {listed}")
 
 
@@ -259,10 +243,4 @@ def iter_errors(schema: dict, instance: Any) -> Iterator[Violation]:
 
 def best_match(schema: dict, instance: Any) -> Violation | None:
     """The error jsonschema's ``best_match`` would pick, or None if valid."""
-    best = max(iter_errors(schema, instance), key=_relevance, default=None)
-    while best is not None and best.context:
-        smallest = sorted(best.context, key=_relevance)[:2]
-        if len(smallest) == 2 and _relevance(smallest[0]) == _relevance(smallest[1]):
-            return best
-        best = smallest[0]
-    return best
+    return max(iter_errors(schema, instance), key=_relevance, default=None)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence, TypeVar
 
 from .errors import AsymmetricForm, DimensionMismatch, IntegralityWarning, InvalidInput
-from .rationals import rat, rat_str, rats
+from .rationals import rat, rats
 
 
 def _check_len(label: str, got: int, want: int) -> None:
@@ -153,8 +153,8 @@ def make_threefold(
         for p, q, r in itertools.permutations((i, j, k)):
             if form[p][q][r] != base:
                 raise AsymmetricForm(
-                    f"T[{i}][{j}][{k}] = {rat_str(base)} but "
-                    f"T[{p}][{q}][{r}] = {rat_str(form[p][q][r])}"
+                    f"T[{i}][{j}][{k}] = {base} but "
+                    f"T[{p}][{q}][{r}] = {form[p][q][r]}"
                 )
 
     div = DivClass.of(c1X)
@@ -268,12 +268,12 @@ def threefold_to_json(X: Threefold) -> dict:
     doc: dict = {
         "schema": "1",
         "generators": list(X.generator_names),
-        "T": [[[rat_str(x) for x in row] for row in plane] for plane in X.T],
-        "c1X": [rat_str(c) for c in X.c1X.coords],
-        "c2X": [rat_str(c) for c in X.c2X.coords],
+        "T": [[[str(x) for x in row] for row in plane] for plane in X.T],
+        "c1X": [str(c) for c in X.c1X.coords],
+        "c2X": [str(c) for c in X.c2X.coords],
     }
     if X.curve_lattice is not None:
-        doc["curve_lattice"] = [[rat_str(c) for c in g.coords] for g in X.curve_lattice]
+        doc["curve_lattice"] = [[str(c) for c in g.coords] for g in X.curve_lattice]
     return doc
 
 

@@ -4,11 +4,15 @@ Every request is a (command, payload) pair; payloads are validated against
 per-command JSON schemas before any computation runs, and all rationals in
 responses are rendered as "p/q" strings, never floating point.
 
-``Response.data`` may hold report objects (dataclasses, named tuples,
-tuples and Fractions) beside JSON values.  One walker over those objects
-renders both modes: JSON text, and the same data flattened to name/value
-rows for a table, so the two modes cannot drift apart.  Output is written
-in chunks; rows of ints, such as dzero witnesses, are formatted a row at a
+``Response.data`` and ``Response.audit`` hold exact values (ints, Fractions,
+class vectors, report objects) beside JSON values; only what a client feeds
+back as a request keeps its wire form: a threefold document, a chern result,
+a serre answer.  One walker writes every number, in both modes: JSON text,
+and the same data flattened to name/value rows for a table, so the two
+modes cannot drift apart.  It writes a class vector as its coordinates, so
+``ChernData`` reads as ``chern_to_json`` writes it, and refuses a value that
+is not exact, a float say, with ``SelfCheckFailed``.  Output is written in
+chunks; rows of ints, such as dzero witnesses, are formatted a row at a
 time and never copied.
 
 The schemas are checked by ``chern3.checker``, which reads exactly the
@@ -20,7 +24,9 @@ the argparse subcommands and the mapping from flags to payload are built
 from that table, so CLI and JSON requests cannot drift apart either.
 
 Exit codes: 0 ok, 1 domain error (or a failing verification suite),
-2 schema error.
+2 schema error, such as input that is not UTF-8, JSON nested too deeply or
+a number longer than int() reads.  ``main`` reads a request under that cap
+on digits, then lifts it, so a result of any length is written exactly.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from .ci import (
     tangent_chern,
 )
 from .dzero import DZeroProblem, PaperClaimsReport, solve_dzero, verify_paper_claims
-from .errors import Chern3Error, SchemaError
+from .errors import Chern3Error, SchemaError, SelfCheckFailed
 from .moduli import (
     CohomologyLedger,
     ext1_ledger,
@@ -66,7 +72,7 @@ from .moduli import (
     serre_c3,
     serre_genus,
 )
-from .rationals import RAT_PATTERN, rat, rat_str
+from .rationals import RAT_PATTERN, rat
 from .sheaf import (
     chern_from_json,
     chern_to_json,
@@ -118,7 +124,7 @@ class Response:
     status: str
     command: str
     data: dict
-    audit: tuple[tuple[str, str], ...]
+    audit: tuple[tuple[str, Any], ...]
 
 
 def _resolve_threefold(payload: dict) -> tuple[Threefold, str]:
@@ -128,7 +134,7 @@ def _resolve_threefold(payload: dict) -> tuple[Threefold, str]:
     return threefold_from_json(payload["threefold"]), "custom threefold"
 
 
-def _handle_threefold(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
+def _handle_threefold(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
     preset = CIPreset(payload["ambient"], tuple(payload.get("degrees", ())))
     _, c1, c2, c3 = tangent_chern(preset)
     X = build_ci(preset)
@@ -141,13 +147,12 @@ def _handle_threefold(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     return data, []
 
 
-def _handle_chern(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
+def _handle_chern(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
     X, label = _resolve_threefold(payload)
     F = chern_from_json(payload["F"])
     op = payload["op"]
     if op == "delta":
-        delta = discriminant(X, F)
-        return {"threefold": label, "op": op, "delta": [rat_str(x) for x in delta.coords]}, []
+        return {"threefold": label, "op": op, "delta": discriminant(X, F)}, []
     if op == "tensor":
         result = tensor(X, chern_from_json(payload["E"]), F)
     elif op == "dual":
@@ -157,24 +162,17 @@ def _handle_chern(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     return {"threefold": label, "op": op, "result": chern_to_json(result)}, []
 
 
-def _handle_chi(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
+def _handle_chi(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
     X, label = _resolve_threefold(payload)
     F = chern_from_json(payload)
     numbers = rr_intersections(X, F)
     terms = rr_weigh(F.rank, numbers)
     total = sum((v for _, v in terms), start=rat(0))
-    audit = [(name, rat_str(v)) for name, v in numbers]
-    audit += [(name, rat_str(v)) for name, v in terms]
-    audit.append(("chi", rat_str(total)))
-    return {
-        "threefold": label,
-        "sheaf": chern_to_json(F),
-        "terms": {name: rat_str(v) for name, v in terms},
-        "chi": rat_str(total),
-    }, audit
+    audit = [*numbers, *terms, ("chi", total)]
+    return {"threefold": label, "sheaf": F, "terms": dict(terms), "chi": total}, audit
 
 
-def _handle_moduli_dim(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
+def _handle_moduli_dim(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
     X, label = _resolve_threefold(payload)
     F = chern_from_json(payload)
     delta = discriminant(X, F)
@@ -182,37 +180,35 @@ def _handle_moduli_dim(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     c1_delta = pair_div_curve(X, X.c1X, delta)
     chi_ext = ext_euler(X, F)
     dim = expected_dim(X, F)
-    audit = [("c1(X).c2(X)", rat_str(c1c2))]
-    audit += [
-        (f"Delta(F).{X.generator_names[i]}", rat_str(delta.coords[i]))
-        for i in range(X.m)
-    ]
-    audit += [
-        ("c1(X).Delta(F)", rat_str(c1_delta)),
-        ("ext_euler", rat_str(chi_ext)),
-        ("expected_dim", rat_str(dim)),
+    audit = [
+        ("c1(X).c2(X)", c1c2),
+        *((f"Delta(F).{name}", x) for name, x in zip(X.generator_names, delta.coords)),
+        ("c1(X).Delta(F)", c1_delta),
+        ("ext_euler", chi_ext),
+        ("expected_dim", dim),
     ]
     return {
         "threefold": label,
-        "sheaf": chern_to_json(F),
-        "ext_euler": rat_str(chi_ext),
-        "expected_dim": rat_str(dim),
+        "sheaf": F,
+        "ext_euler": chi_ext,
+        "expected_dim": dim,
         "note": "expected dimension under the stable rank-2 hypotheses",
     }, audit
 
 
-def _handle_serre(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
+def _handle_serre(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
     X, label = _resolve_threefold(payload)
     det = DivClass(tuple(payload["det"]))
     c2F = CurveClass(tuple(payload["c2"]))
+    # The answer stays a wire string: a client feeds it back as --genus or --c3.
     if payload["direction"] == "to-c3":
         value = serre_c3(X, det, c2F, rat(payload["genus"]))
-        return {"threefold": label, "direction": "to-c3", "c3": rat_str(value)}, []
+        return {"threefold": label, "direction": "to-c3", "c3": str(value)}, []
     value = serre_genus(X, det, c2F, rat(payload["c3"]))
-    return {"threefold": label, "direction": "to-genus", "genus": rat_str(value)}, []
+    return {"threefold": label, "direction": "to-genus", "genus": str(value)}, []
 
 
-def _handle_ledger(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
+def _handle_ledger(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
     ledger = CohomologyLedger(
         payload["h0_N"],
         payload["h0_F"],
@@ -243,7 +239,7 @@ def _claims_json(claims: PaperClaimsReport) -> dict:
     }
 
 
-def _handle_dzero(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
+def _handle_dzero(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
     if payload.get("verify_paper"):
         claims = verify_paper_claims()
         return {"verify_paper": True, "claims": _claims_json(claims), "ok": True}, []
@@ -254,7 +250,7 @@ def _handle_dzero(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
     return {"threefold": label, **{f.name: getattr(report, f.name) for f in fields(report)}}, []
 
 
-def _handle_verify(payload: dict) -> tuple[dict, list[tuple[str, str]]]:
+def _handle_verify(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
     formulas = verify_tensor_formulas(
         max_rank=payload.get("max_rank", 4),
         trials=payload.get("trials", 100),
@@ -273,8 +269,10 @@ _RANGE_FLAG = re.compile(r"-?[0-9]+\.\.-?[0-9]+")
 def _parse_range(text: str) -> list[int]:
     if not _RANGE_FLAG.fullmatch(text):
         raise SchemaError(f"range {text!r} must look like -10..10")
-    lo, hi = text.split("..")
-    return [int(lo), int(hi)]
+    try:
+        return [int(bound) for bound in text.split("..")]
+    except ValueError:  # a bound longer than int() reads
+        raise SchemaError(f"range: a number has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _parse_vector(text: str) -> list[str]:
@@ -288,14 +286,26 @@ def _parse_degrees(text: str) -> list[int]:
         raise SchemaError(f"degrees {text!r} must be comma-separated integers") from None
 
 
-def _parse_json_flag(text: str, label: str) -> dict:
-    raw = text
-    if not text.lstrip().startswith("{"):
-        raw = Path(text).read_text(encoding="utf-8")
+def _read_json(label: str, source: str | Path, inline: bool = False) -> Any:
+    """The JSON document in the file at ``source``, or ``source`` itself if
+    ``inline``.  Anything but a UTF-8 JSON document that int() and the
+    recursion limit can read is a SchemaError naming ``label``."""
     try:
-        doc = json.loads(raw)
+        text = source if inline else Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{label}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"{label}: {exc.msg} at line {exc.lineno}") from None
+        raise SchemaError(f"{label}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise SchemaError(f"{label}: JSON nested too deeply") from None
+    except ValueError:  # the remaining decode error: an over-long integer
+        raise SchemaError(f"{label}: a number has more than {sys.get_int_max_str_digits()} digits") from None
+
+
+def _parse_json_flag(text: str, label: str) -> dict:
+    doc = _read_json(label, text, inline=text.lstrip().startswith("{"))
     if not isinstance(doc, dict):
         raise SchemaError(f"{label}: expected a JSON object")
     return doc
@@ -331,7 +341,7 @@ class Command:
     JSON-schema fragment every payload satisfies and the CLI's message if not."""
 
     help: str
-    handler: Callable[[dict], tuple[dict, list[tuple[str, str]]]]
+    handler: Callable[[dict], tuple[dict, list[tuple[str, Any]]]]
     flags: tuple[Flag, ...]
     rules: tuple[tuple[str, dict], ...] = ()
 
@@ -470,10 +480,17 @@ def _schema_message(exc: Any) -> str:
     return f"{exc.message}" + (f" (at {path})" if path else "")
 
 
+def _best_match(schema: dict, doc: Any, label: str) -> checker.Violation | None:
+    try:
+        return checker.best_match(schema, doc)
+    except RecursionError:  # decoded, but too deep for an error message's repr
+        raise SchemaError(f"{label}: JSON nested too deeply") from None
+
+
 def validate_payload(command: str, payload: dict) -> None:
     if command not in PAYLOAD_SCHEMAS:
         raise SchemaError(f"unknown command {command!r}")
-    error = checker.best_match(PAYLOAD_SCHEMAS[command], payload)
+    error = _best_match(PAYLOAD_SCHEMAS[command], payload, command)
     if error is None:
         return
     # An error inside allOf[i] breaks the command's rule i: name it as the CLI does.
@@ -485,12 +502,8 @@ def validate_payload(command: str, payload: dict) -> None:
 
 def load_config(path: str | Path) -> Request:
     """Parse a request document from a JSON file, rejecting unknown keys."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    error = checker.best_match(REQUEST_SCHEMA, doc)
+    doc = _read_json(str(path), path)
+    error = _best_match(REQUEST_SCHEMA, doc, str(path))
     if error is not None:
         raise SchemaError(f"{path}: {_schema_message(error)}")
     return Request(doc["command"], doc["payload"], doc.get("output_mode", "table"))
@@ -548,34 +561,34 @@ def _members(value: Any) -> list[tuple[str, Any]] | None:
     return None
 
 
-def _json_scalar(value: Any) -> str:
-    if type(value) is str:
-        return _escape(value)
-    if type(value) is int:
-        return str(value)
-    if isinstance(value, Fraction):
-        return _escape(rat_str(value))
-    if value is None or type(value) is bool:
-        return "null" if value is None else "true" if value else "false"
-    raise TypeError(f"cannot render {type(value).__name__} as JSON")
-
-
 def _table_scalar(value: Any) -> str:
+    """A scalar's text: ``str`` writes an int, a string, and a Fraction as "p/q"."""
     if value is None or type(value) is bool:
         return "null" if value is None else "true" if value else "false"
-    return rat_str(value) if isinstance(value, Fraction) else str(value)
+    if type(value) in (int, str, Fraction):
+        return str(value)
+    raise SelfCheckFailed("report rendering", f"{type(value).__name__} {value!r} is not an exact value")
+
+
+def _json_scalar(value: Any) -> str:
+    if type(value) is str or type(value) is Fraction:
+        return _escape(str(value))
+    return _table_scalar(value)
 
 
 def _walk(value: Any, at: str, table: bool) -> Iterator[Any]:
     """Render a report in one pass over its objects.
 
-    Dicts, named tuples and dataclasses are objects, lists and plain tuples
-    arrays, and Fractions "p/q" strings.  For JSON (``table`` false) it
-    yields text, ``at`` being the newline and indent that ``value``'s last
-    line starts with, and sorts keys as ``json.dumps(sort_keys=True)``
-    does.  For a table it yields a (name, text) row per scalar, ``at`` being
-    the name of ``value``, or an ``_IntRows`` block, in field order.
+    Dicts, named tuples and dataclasses are objects, lists, plain tuples
+    and class vectors arrays, and Fractions "p/q" strings.  For JSON
+    (``table`` false) it yields text, ``at`` being the newline and indent
+    that ``value``'s last line starts with, and sorts keys as
+    ``json.dumps(sort_keys=True)`` does.  For a table it yields a (name,
+    text) row per scalar, ``at`` being the name of ``value``, or an
+    ``_IntRows`` block, in field order.
     """
+    if isinstance(value, (DivClass, CurveClass)):
+        value = value.coords
     array = type(value) is list or type(value) is tuple
     if array:
         width = _int_row_width(value)
@@ -672,7 +685,7 @@ def _table_chunks(response: Response) -> Iterator[str]:
         yield "\naudit:"
         audit_width = max(len(name) for name, _ in response.audit)
         for name, value in response.audit:
-            yield f"\n  {name.ljust(audit_width)}  {value}"
+            yield f"\n  {name.ljust(audit_width)}  {_table_scalar(value)}"
 
 
 def response_json(response: Response) -> str:
@@ -772,6 +785,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(_merge_negative_values(argv))
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no cap, as before Python 3.10.7
 
     try:
         if args.config:
@@ -783,6 +797,8 @@ def main(argv: list[str] | None = None) -> int:
                 parser.print_help()
                 return 2
             request = _payload_from_args(args)
+        if digits:  # the request is read: write results of any length
+            sys.set_int_max_str_digits(0)
         response = run(request)
         chunks = _json_chunks(response) if request.output_mode == "json" else _table_chunks(response)
         if args.out:
@@ -800,6 +816,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"IOError: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
     if response.data.get("ok") is False:
         return 1

@@ -28,7 +28,9 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import starmap, zip_longest
+from operator import ne
+from typing import Iterator, NamedTuple
 
 from .chow import CurveClass, DivClass, Threefold
 from .ci import build_ci, parse_preset
@@ -192,8 +194,9 @@ def _residues(B: int, E: int, q: int) -> list[int]:
 
 def _grid_zeros(
     a: Fraction, b: Fraction, e: Fraction, k_range: tuple[int, int], c_range: tuple[int, int]
-) -> list[tuple[int, int]]:
-    """Every (k, c) of the rectangle with a c + b k^2 + e = 0, in (k, c) order.
+) -> Iterator[tuple[int, int]]:
+    """Every (k, c) of the rectangle with a c + b k^2 + e = 0, in (k, c) order,
+    yielded a row of k at a time, so the grid is never held whole.
 
     The independent dumb check behind every dzero verdict: it tests each
     point, on integers it gets by clearing the denominators of (a, b, e)
@@ -202,11 +205,9 @@ def _grid_zeros(
     """
     scale = math.lcm(a.denominator, b.denominator, e.denominator)
     ia, ib, ie = (x.numerator * (scale // x.denominator) for x in (a, b, e))
-    zeros = []
     for k in range(k_range[0], k_range[1] + 1):
         rest = ib * k * k + ie
-        zeros += [(k, c) for c in range(c_range[0], c_range[1] + 1) if ia * c + rest == 0]
-    return zeros
+        yield from [(k, c) for c in range(c_range[0], c_range[1] + 1) if ia * c + rest == 0]
 
 
 def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport:
@@ -263,7 +264,7 @@ def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport
             else f"no residue k (mod {q}) satisfies {B}k^2 + {E} = 0 (mod {q})",
         )
 
-    if _grid_zeros(a, b, e, problem.k_range, problem.c_range) != witnesses:
+    if any(starmap(ne, zip_longest(_grid_zeros(a, b, e, problem.k_range, problem.c_range), witnesses))):
         raise SelfCheckFailed(
             "dzero grid check", "exhaustive enumeration disagrees with the congruence solver"
         )

@@ -21,7 +21,7 @@ from .errors import (
     NegativeDimension,
     RankUnsupported,
 )
-from .rationals import rat, rat_str
+from .rationals import rat
 from .sheaf import ChernData, _check_on, discriminant
 
 _ZERO = Fraction(0)
@@ -81,7 +81,7 @@ def serre_genus(X: Threefold, detF: DivClass, c2F: CurveClass, c3: Fraction | in
     ) / 2
     if g.denominator != 1 or g < 0:
         warnings.warn(
-            f"genus {rat_str(g)} is not a nonnegative integer; the input does "
+            f"genus {g} is not a nonnegative integer; the input does "
             "not describe a curve",
             IntegralityWarning,
             stacklevel=2,

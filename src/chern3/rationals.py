@@ -2,13 +2,15 @@
 
 Rationals are ``fractions.Fraction`` throughout the package: arbitrary
 precision, positive denominator, always lowest terms.  On the wire they are
-strings, "p/q" for proper fractions and "n" for integers.  Floats are
-rejected everywhere so no value is ever silently rounded.
+strings, "p/q" for proper fractions and "n" for integers, which is what
+``str`` writes for a Fraction.  Floats are rejected everywhere so no value
+is ever silently rounded.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable
 
@@ -20,6 +22,9 @@ from .errors import InvalidInput
 # "7\n".
 RAT_PATTERN = r"^-?[0-9]+(/[1-9][0-9]*)?$(?!\n)"
 _RAT_RE = re.compile(RAT_PATTERN)
+# CPython's default cap on the digits int() reads (none before 3.10.7).  rat()
+# holds every string to it, also while the CLI lifts the cap to write results.
+MAX_DIGITS = getattr(sys.int_info, "default_max_str_digits", 0)
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -37,17 +42,12 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, str):
         if not _RAT_RE.fullmatch(value):
             raise InvalidInput(f"cannot parse rational {value!r}: expected 'p/q' or 'n'")
+        if 0 < MAX_DIGITS < len(value) and max(map(len, value.lstrip("-").split("/"))) > MAX_DIGITS:
+            raise InvalidInput(f"rational of {len(value)} characters has more than {MAX_DIGITS} digits")
         return Fraction(value)
     raise InvalidInput(f"expected int, 'p/q' string or Fraction, got {type(value).__name__}")
 
 
 def rats(values: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:
     return tuple(v if type(v) is Fraction else rat(v) for v in values)
-
-
-def rat_str(value: Fraction) -> str:
-    """Render a Fraction as "p/q", or "n" when the denominator is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 

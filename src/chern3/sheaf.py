@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .chow import CurveClass, DivClass, Threefold, _check_len, mul_div_div, pair_div_curve, triple
 from .errors import DegenerateLine, DimensionMismatch, InvalidInput, NonIntegralRank
-from .rationals import rat, rat_str
+from .rationals import rat
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def to_character(X: Threefold, F: ChernData) -> CharacterData:
 def from_character(X: Threefold, ch: CharacterData) -> ChernData:
     """Exact inverse of ``to_character``."""
     if ch.ch0.denominator != 1 or ch.ch0 <= 0:
-        raise NonIntegralRank(f"ch0 = {rat_str(ch.ch0)} is not a positive integer")
+        raise NonIntegralRank(f"ch0 = {ch.ch0} is not a positive integer")
     if len(ch.ch1) != X.m or len(ch.ch2) != X.m:
         raise DimensionMismatch("character data does not match the threefold")
     c1 = ch.ch1
@@ -195,9 +195,9 @@ def slope(X: Threefold, F: ChernData, L: DivClass) -> Fraction:
 def chern_to_json(F: ChernData) -> dict:
     return {
         "rank": F.rank,
-        "c1": [rat_str(c) for c in F.c1.coords],
-        "c2": [rat_str(c) for c in F.c2.coords],
-        "c3": rat_str(F.c3),
+        "c1": [str(c) for c in F.c1.coords],
+        "c2": [str(c) for c in F.c2.coords],
+        "c3": str(F.c3),
     }
 
 

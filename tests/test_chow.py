@@ -207,6 +207,26 @@ def test_fractional_rationals_round_trip():
     assert threefold_from_json(doc) == X
 
 
+# P1 x P2: g0 the class of a fibre, g1 the pulled-back hyperplane, g0.g1.g1 = 1.
+P1_X_P2 = (["g0", "g1"], (((0, 0), (0, 1)), ((0, 1), (1, 0))), (2, 3), (3, 6))
+
+
+@pytest.mark.parametrize("lattice, message", [
+    (((1, 1), (1, -1)), "c2X is not an integral combination of the declared curve lattice"),
+    (((2, 1), (0, 1)), "c2X is not an integral combination of the declared curve lattice"),
+    (((1, 1), (2, 2)), "c2X is not a rational combination of the declared curve lattice"),
+    (((1, 2), (2, 4)), None),  # dependent generators: membership is not decided
+])
+def test_lattice_check_eliminates_across_two_generators(lattice, message):
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        make_threefold(*P1_X_P2, curve_lattice=lattice)
+    assert [str(w.message) for w in caught] == ([message] if message else [])
+    assert all(w.category is IntegralityWarning for w in caught)
+
+
 def test_lattice_consistency_warning():
     with pytest.warns(IntegralityWarning):
         make_threefold(["H"], (((2,),),), (3,), ("1/2",), curve_lattice=((1,),))

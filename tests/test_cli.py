@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chern3 import cli, splitting
-from chern3.chow import threefold_to_json
+from chern3.chow import CurveClass, DivClass, threefold_to_json
 from chern3.ci import CIPreset, build_ci
 from chern3.cli import (
     COMMANDS,
@@ -27,8 +28,9 @@ from chern3.cli import (
     validate_payload,
 )
 from chern3.dzero import Condition, DZeroReport, Normalized, Obstruction
-from chern3.errors import InvalidInput, SchemaError
-from chern3.rationals import rat, rat_str
+from chern3.errors import InvalidInput, SchemaError, SelfCheckFailed
+from chern3.rationals import MAX_DIGITS, rat
+from chern3.sheaf import ChernData, euler_char
 from chern3.splitting import (
     Counterexample,
     RankPairResult,
@@ -65,16 +67,16 @@ def test_run_threefold_quadric():
 def test_run_moduli_dim_paper_instance():
     payload = {"preset": "[2] in P4", "rank": 2, "c1": [1], "c2": [1], "c3": "0"}
     resp = run_json("moduli-dim", payload)
-    assert resp.data["expected_dim"] == "0"
-    assert resp.data["ext_euler"] == "1"
+    assert resp.data["expected_dim"] == 0
+    assert resp.data["ext_euler"] == 1
     assert resp.audit  # mandatory for moduli-dim
-    assert ("expected_dim", "0") in resp.audit
+    assert ("expected_dim", 0) in resp.audit
 
 
 def test_run_chi_audit_populated():
     payload = {"preset": "[2] in P4", "rank": 2, "c1": [1], "c2": [1], "c3": "0"}
     resp = run_json("chi", payload)
-    assert resp.data["chi"] == "4"
+    assert resp.data["chi"] == 4
     names = [n for n, _ in resp.audit]
     assert "c1(X).c2(X)" in names
     assert "r.c1(X).c2(X)/24" in names
@@ -96,7 +98,7 @@ def test_run_chern_ops():
     assert resp.data["result"]["c1"] == ["3"]
     assert resp.data["result"]["c2"] == ["5"]
     resp = run_json("chern", {"op": "delta", "preset": "[2] in P4", "F": sheaf})
-    assert resp.data["delta"] == ["2"]
+    assert resp.data["delta"] == CurveClass((2,))
 
 
 def test_run_serre_directions():
@@ -136,7 +138,7 @@ def test_run_custom_threefold_payload():
     doc = threefold_to_json(build_ci(CIPreset(4, (2,))))
     payload = {"threefold": doc, "rank": 2, "c1": [1], "c2": [1], "c3": "0"}
     resp = run_json("moduli-dim", payload)
-    assert resp.data["expected_dim"] == "0"
+    assert resp.data["expected_dim"] == 0
 
 
 # ---------------------------------------------------------------- schemas
@@ -298,7 +300,7 @@ def test_an_integral_float_is_not_an_integer(tmp_path, capsys, command, payload,
 
 def test_schema_version_field_accepted():
     payload = {"schema": "1", "preset": "[2] in P4", "rank": 2, "c1": [1], "c2": [1], "c3": "0"}
-    assert run_json("chi", payload).data["chi"] == "4"
+    assert run_json("chi", payload).data["chi"] == 4
     with pytest.raises(SchemaError):
         run_json("chi", dict(payload, schema="2"))
 
@@ -317,7 +319,7 @@ def test_load_config_round_trip(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     request = load_config(path)
     assert request.command == "moduli-dim"
-    assert run(request).data["expected_dim"] == "0"
+    assert run(request).data["expected_dim"] == 0
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -388,7 +390,7 @@ def test_json_output_is_idempotent():
     # re-feeding the emitted threefold reproduces the same numbers
     built = run(Request("threefold", {"ambient": 4, "degrees": [2]}, "json"))
     payload = {"threefold": built.data["threefold"], "rank": 2, "c1": [1], "c2": [1], "c3": "0"}
-    assert run(Request("chi", payload, "json")).data["chi"] == "4"
+    assert run(Request("chi", payload, "json")).data["chi"] == 4
 
 
 # The renderers the walker replaced, kept as its oracle: ``_wire`` copied a
@@ -397,8 +399,9 @@ def test_json_output_is_idempotent():
 
 def _wire(value):
     """Report objects as JSON data: dataclasses and named tuples become objects
-    in field order, other tuples lists, and Fractions "p/q" strings; dicts and
-    lists, which ``Response.data`` held already, are copied through."""
+    in field order, other tuples and class vectors lists, and Fractions "p/q"
+    strings; dicts and lists, which ``Response.data`` held already, are copied
+    through."""
     if type(value) in (type(None), bool, int, str):
         return value
     if type(value) in (tuple, list):
@@ -406,7 +409,9 @@ def _wire(value):
     if type(value) is dict:
         return {key: _wire(item) for key, item in value.items()}
     if isinstance(value, Fraction):
-        return rat_str(value)
+        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
+    if isinstance(value, (DivClass, CurveClass)):
+        return _wire(value.coords)
     if isinstance(value, tuple):
         return dict(zip(value._fields, map(_wire, value)))
     return {f.name: _wire(getattr(value, f.name)) for f in dataclasses.fields(value)}
@@ -431,7 +436,7 @@ def old_response_json(response):
         "status": response.status,
         "command": response.command,
         "data": _wire(response.data),
-        "audit": [{"name": n, "value": v} for n, v in response.audit],
+        "audit": [{"name": n, "value": _wire(v)} for n, v in response.audit],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -445,7 +450,7 @@ def old_response_table(response):
     if response.audit:
         lines.append("audit:")
         audit_width = max(len(name) for name, _ in response.audit)
-        lines += [f"  {name.ljust(audit_width)}  {value}" for name, value in response.audit]
+        lines += [f"  {name.ljust(audit_width)}  {_wire(value)}" for name, value in response.audit]
     return "\n".join(lines)
 
 
@@ -469,6 +474,10 @@ _int_rows = st.one_of(
     _rows(st.tuples(_ints) | st.tuples(_ints, _ints)),
     _rows(st.tuples(_ints, _ints) | st.lists(_ints, max_size=2) | _ints | st.just(())),
 )
+_vector = st.lists(_ints | _fractions, max_size=3).map(tuple)
+_classes = st.builds(DivClass, _vector) | st.builds(CurveClass, _vector)
+_sheaves = st.builds(ChernData, st.integers(1, 9), st.builds(DivClass, _vector), st.builds(CurveClass, _vector),
+                     _ints | _fractions)
 _roots = st.lists(st.fractions(-9, 9, max_denominator=9), min_size=1, max_size=3).map(tuple)
 _scalar_chern = st.builds(ScalarChern, _ints | _fractions, _ints | _fractions, _ints | _fractions)
 _counterexample = st.builds(Counterexample, st.builds(RootSpec, _roots, _roots), _scalar_chern, _scalar_chern)
@@ -493,11 +502,11 @@ def _containers(children):
     )
 
 
-_values = st.recursive(_scalars | _int_rows | _reports, _containers, max_leaves=12)
+_values = st.recursive(_scalars | _int_rows | _reports | _classes | _sheaves, _containers, max_leaves=12)
 _responses = st.builds(
     Response, st.just("ok"), st.sampled_from(sorted(COMMANDS)),
     st.dictionaries(st.text(), _values, max_size=5),
-    st.lists(st.tuples(st.text(min_size=1), st.text())).map(tuple),
+    st.lists(st.tuples(st.text(min_size=1), st.text() | _ints | _fractions)).map(tuple),
 )
 
 
@@ -623,11 +632,94 @@ def test_main_bad_json_flags_are_schema_errors(tmp_path, capsys):
     rc = main(["chi", "--threefold", "{bad", "--rank", "2", "--c1", "1", "--c2", "1"])
     assert rc == 2
     assert capsys.readouterr().err == (
-        "SchemaError: --threefold: Expecting property name enclosed in double quotes at line 1\n")
+        "SchemaError: --threefold:1:2: Expecting property name enclosed in double quotes\n")
     listed = tmp_path / "sheaf.json"
     listed.write_text("[1]")
     assert main(["chern", "dual", "--preset", "[2] in P4", "--f", str(listed)]) == 2
     assert capsys.readouterr().err == "SchemaError: --f: expected a JSON object\n"
+
+
+NEEDS_CAP = pytest.mark.skipif(not MAX_DIGITS, reason="Python < 3.10.7 caps no int conversion")
+NINES = "9" * 5000
+CHI_FLAGS = ["--rank", "2", "--c1", "1", "--c2", "1"]
+LONG_CONFIG = f'{{"command": "chi", "payload": {{"preset": "[2] in P4", "rank": {NINES}, "c1": [1], "c2": [1]}}}}'
+
+
+@pytest.mark.parametrize("content, argv, code, message", [
+    (b"\xff\xfe{", ["--config", "PATH"], 2, "SchemaError: PATH: not UTF-8 (invalid start byte at byte 0)"),
+    (b"\xff\xfe{", ["chi", "--threefold", "PATH", *CHI_FLAGS], 2,
+     "SchemaError: --threefold: not UTF-8 (invalid start byte at byte 0)"),
+    (b"\xff\xfe{", ["chern", "dual", "--preset", "[2] in P4", "--f", "PATH"], 2,
+     "SchemaError: --f: not UTF-8 (invalid start byte at byte 0)"),
+    (b"\xff\xfe{", ["chern", "tensor", "--preset", "[2] in P4", "--f", F_FLAG, "--e", "PATH"], 2,
+     "SchemaError: --e: not UTF-8 (invalid start byte at byte 0)"),
+    (b"[" * 100000, ["--config", "PATH"], 2, "SchemaError: PATH: JSON nested too deeply"),
+    (b"[" * 100000, ["chern", "dual", "--preset", "[2] in P4", "--f", "PATH"], 2,
+     "SchemaError: --f: JSON nested too deeply"),
+    (None, ["chi", "--threefold", '{"T": ' + "[" * 100000, *CHI_FLAGS], 2,
+     "SchemaError: --threefold: JSON nested too deeply"),
+    pytest.param(LONG_CONFIG.encode(), ["--config", "PATH"], 2, "SchemaError: PATH: a number has more than 4300 digits",
+                 marks=NEEDS_CAP),
+    pytest.param(None, ["chi", "--preset", "[2] in P4", *CHI_FLAGS, "--c3", NINES], 1,
+                 "InvalidInput: rational of 5000 characters has more than 4300 digits", marks=NEEDS_CAP),
+    pytest.param(None, ["dzero", "--preset", "[2] in P4", "--k", f"0..{NINES}"], 2,
+                 "SchemaError: range: a number has more than 4300 digits", marks=NEEDS_CAP),
+])
+def test_malformed_text_input_is_a_named_error_not_a_traceback(tmp_path, capsys, content, argv, code, message):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert main([arg.replace("PATH", str(path)) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", message.replace("PATH", str(path)) + "\n")
+
+
+@pytest.mark.parametrize("depth", [500, 950, 980, 990, 999])
+def test_a_document_nested_nearly_as_deep_as_the_decoder_reads_is_a_schema_error(capsys, depth):
+    # The decoder may read it, and then an error message's repr may not.
+    text = json.dumps({**QUADRIC_DOC, "T": "@"}).replace('"@"', "[" * depth + "]" * depth)
+    assert main(["chi", "--threefold", text, *CHI_FLAGS]) == 2
+    assert capsys.readouterr().err.startswith("SchemaError: ")
+
+
+@NEEDS_CAP
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_a_result_of_any_length_is_written_exactly(capsys, mode):
+    c1 = "9" * 4000
+    digits = sys.get_int_max_str_digits()
+    assert main(["chi", "--preset", "[2] in P4", "--rank", "2", "--c1", c1, "--c2", "1", *mode]) == 0
+    assert sys.get_int_max_str_digits() == digits
+    out = capsys.readouterr().out
+    chi = euler_char(build_ci(CIPreset(4, (2,))), ChernData(2, (int(c1),), (1,), 0))
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(chi)
+        got = json.loads(out)["data"]["chi"] if mode else re.search(r"^  chi +(\S+)$", out, re.M).group(1)
+    finally:
+        sys.set_int_max_str_digits(digits)
+    assert got == want and len(want) > digits
+
+
+@pytest.mark.parametrize("data, audit", [
+    ({"value": 0.5}, ()),
+    ({"nested": [1, {"x": 0.5}], "sheaf": ChernData(1, (0,), (0,), 0)}, ()),
+    ({"chi": Fraction(1, 2)}, (("chi", 0.5),)),
+])
+def test_the_walker_refuses_a_value_that_is_not_exact(data, audit):
+    response = Response("ok", "chi", data, audit)
+    for render in (response_json, response_table):
+        with pytest.raises(SelfCheckFailed) as exc:
+            render(response)
+        assert str(exc.value) == "report rendering: float 0.5 is not an exact value"
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_main_refuses_a_float_in_a_report(monkeypatch, capsys, mode):
+    ledger = dataclasses.replace(COMMANDS["ledger"], handler=lambda payload: ({"ext1": 0.5}, []))
+    monkeypatch.setitem(COMMANDS, "ledger", ledger)
+    assert main(["ledger", "--h0-n", "1", "--h0-f", "1", "--h1-ic-zero", *mode]) == 1
+    err = capsys.readouterr().err
+    assert err == "SelfCheckFailed: report rendering: float 0.5 is not an exact value\n"
 
 
 def test_main_without_a_command_prints_the_help(capsys):

@@ -210,6 +210,20 @@ def test_a_vanishing_c_coefficient_with_a_nonzero_condition_is_a_build_bug(monke
     assert "Traceback" not in err
 
 
+def test_a_dimension_formula_off_the_affine_form_fails_the_reduction_check(monkeypatch, capsys):
+    # k^3 c vanishes at the three points (a, b, e) are read from, so only the
+    # three pseudorandom check points can see it.
+    monkeypatch.setattr(dzero, "expected_dim", lambda X, F: expected_dim(X, F) + F.c1.coords[0] ** 3 * F.c2.coords[0])
+    message = "dzero affine reduction: expected_dim at (-3, 4) is off a c + b k^2 + e"
+    with pytest.raises(SelfCheckFailed) as exc:
+        solve_dzero(DZeroProblem(model("[2] in P4"), (-5, 5), (-5, 5)))
+    assert str(exc.value) == message
+    assert main(["dzero", "--preset", "[2] in P4", "--k", "-5..5", "--c", "-5..5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[0] == f"SelfCheckFailed: {message}"
+    assert "Traceback" not in err
+
+
 def test_every_witness_reevaluates_to_zero():
     H = DivClass((1,))
     for name in ("[2] in P4", "[2,3] in P5"):
@@ -322,7 +336,7 @@ def test_integer_grid_equals_fraction_grid(name):
         for c in range(c_range[0], c_range[1] + 1)
         if a * c + b * k * k + e == 0
     ]
-    assert dzero._grid_zeros(a, b, e, k_range, c_range) == fraction_grid
+    assert list(dzero._grid_zeros(a, b, e, k_range, c_range)) == fraction_grid
     if name == "custom":
         assert all(x.denominator > 1 for x in (a, b, e)) and fraction_grid
 

@@ -349,6 +349,12 @@ def test_dimension_mismatch_surfaces(quadric):
         tensor(quadric, F, F)
 
 
+def test_from_character_rejects_data_of_another_threefold(quadric):
+    ch = CharacterData(2, DivClass((1, 0)), CurveClass((0, 0)), 0)
+    with pytest.raises(DimensionMismatch, match="^character data does not match the threefold$"):
+        from_character(quadric, ch)
+
+
 def test_chern_json_round_trip(quadric):
     F = ChernData(2, ("1/2",), (3,), "-4/7")
     doc = chern_to_json(F)
