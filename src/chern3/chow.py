@@ -196,8 +196,6 @@ def _solve_rational_system(
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
         pivot_cols.append(col)
         row += 1
-        if row == m:
-            break
     for r in range(m):
         if all(aug[r][c] == 0 for c in range(k)) and aug[r][k] != 0:
             return False
@@ -213,16 +211,14 @@ def _warn_if_c2X_outside_lattice(X: Threefold) -> None:
     if X.curve_lattice is None:
         return
     coords = _solve_rational_system([g.coords for g in X.curve_lattice], X.c2X.coords)
+    # None means dependent generators: membership is not decided here.
     if coords is False:
         warnings.warn(
             "c2X is not a rational combination of the declared curve lattice",
             IntegralityWarning,
             stacklevel=3,
         )
-    elif coords is None:
-        # Dependent generators: membership is not decided here.
-        return
-    elif any(x.denominator != 1 for x in coords):
+    elif coords is not None and any(x.denominator != 1 for x in coords):
         warnings.warn(
             "c2X is not an integral combination of the declared curve lattice",
             IntegralityWarning,

@@ -83,7 +83,7 @@ from .sheaf import (
     tensor,
     twist,
 )
-from .splitting import verify_tensor_formulas
+from .splitting import MAX_RANK, MAX_TRIALS, verify_tensor_formulas
 
 SCHEMA_VERSION = "1"
 
@@ -251,11 +251,8 @@ def _handle_dzero(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
 
 
 def _handle_verify(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
-    formulas = verify_tensor_formulas(
-        max_rank=payload.get("max_rank", 4),
-        trials=payload.get("trials", 100),
-        seed=payload.get("seed", 42),
-    )
+    given = {key: payload[key] for key in ("max_rank", "trials", "seed") if key in payload}
+    formulas = verify_tensor_formulas(**given)  # its signature holds the only defaults
     if "suite" not in payload:
         return {"ok": formulas.ok, "tensor_formulas": formulas}, []
     claims = _claims_json(verify_paper_claims())
@@ -440,8 +437,8 @@ COMMANDS: dict[str, Command] = {
     "verify": Command("verification suites", _handle_verify, (
         Flag("--suite", "suite", {"enum": ["paper"]}),
         Flag("--tensor-formulas", "tensor_formulas", {"const": True}, const=True),
-        Flag("--max-rank", "max_rank", {"type": "integer", "minimum": 1, "maximum": 6}),
-        Flag("--trials", "trials", {"type": "integer", "minimum": 1, "maximum": 1000}),
+        Flag("--max-rank", "max_rank", {"type": "integer", "minimum": 1, "maximum": MAX_RANK}),
+        Flag("--trials", "trials", {"type": "integer", "minimum": 1, "maximum": MAX_TRIALS}),
         Flag("--seed", "seed", {"type": "integer"}, help="seed for randomized verification"),
     ), (
         ("verify: provide --suite paper or --tensor-formulas", _one_of("suite", "tensor_formulas")),

@@ -173,8 +173,6 @@ def _normalize(a: Fraction, b: Fraction, e: Fraction) -> Normalized:
 def relation_str(normalized: tuple[int, int, int]) -> str:
     """Render A c + B k^2 + E = 0 as "A c = B' k^2 + E'" with positive lead."""
     A, B, E = normalized
-    if A == 0 and B == 0 and E == 0:
-        return "0 = 0"
     lhs = f"{A}c" if A not in (0, 1) else ("c" if A == 1 else "0")
     terms = []
     k_coeff, const = -B, -E
@@ -296,7 +294,6 @@ def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport
 @dataclass(frozen=True)
 class PresetClaim:
     preset: str
-    expected_solvable: bool
     report: DZeroReport
 
 
@@ -362,5 +359,5 @@ def verify_paper_claims() -> PaperClaimsReport:
                 raise ClaimViolation(name, "unsolvable but no certificate produced")
             if report.witnesses:
                 raise ClaimViolation(name, f"witnesses {report.witnesses[:3]} contradict the claim")
-        entries.append(PresetClaim(name, want_solvable, report))
+        entries.append(PresetClaim(name, report))
     return PaperClaimsReport(tuple(entries))

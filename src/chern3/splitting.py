@@ -13,12 +13,13 @@ agree at the sorted points of the lattice {x in N^(r1 + r2) : sum x <= 3}:
 E's roots a partition padded with zeros, F's roots another, of total size
 at most 3.  That is at most 18 integer points per pair (``_proved``).
 The same identity is then evaluated at 36 fixed small-integer root patterns
-and at seeded random rational points: replayable samples that show a wrong
-formula as concrete numbers.  Samples run on ints, since each c_i is
-homogeneous of degree i: scaling a rational point by the lcm D of its
-denominators gives an integer point where both sides are multiplied by D^i.
-A disagreement is confirmed at the rational point with ``Fraction``
-arithmetic before it is reported.
+and at seeded random integer points: replayable samples that show a wrong
+formula as concrete numbers.  An integer point x decides its whole ray of
+rational points: both sides of c_i are homogeneous of degree i, so at t x
+each is t^i times its value at x.  Each random root is uniform on the 2^20
+integers in [-2^19, 2^19), so a wrong form whose difference is a nonzero
+polynomial of degree d in the roots passes a sample with probability at
+most d/2^20 (Schwartz, J. ACM 27(4), 1980).
 """
 
 from __future__ import annotations
@@ -27,14 +28,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
-from math import comb, lcm
+from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .errors import EmptyRoots, InvalidInput, LimitExceeded
 from .rationals import rat, rats
 
 _ROOT_BOUND = 10**6
-_MAX_TRIALS = 1000
+MAX_RANK = 6
+MAX_TRIALS = 1000
 
 
 Scalar = int | Fraction
@@ -189,22 +191,17 @@ def _grid_patterns(rank: int) -> tuple[tuple[int, ...], ...]:
 
 _GRID_CHECKS = 36  # 6 patterns for E times 6 for F
 
-# A sample point: integer roots, E's first, and the common denominator that
-# turns them back into the rational roots they scale.
-Point = tuple[Sequence[int], int]
 
-
-def _grid_points(r1: int, r2: int) -> Iterator[Point]:
+def _grid_points(r1: int, r2: int) -> Iterator[Sequence[int]]:
     for pe in _grid_patterns(r1):
         for pf in _grid_patterns(r2):
-            yield pe + pf, 1
+            yield pe + pf
 
 
-def _random_points(rng: random.Random, n_roots: int, trials: int) -> Iterator[Point]:
+def _random_points(rng: random.Random, n_roots: int, trials: int) -> Iterator[Sequence[int]]:
+    # Integer roots, E's first, one draw each, uniform on [-2^19, 2^19): within RootSpec's bound.
     for _ in range(trials):
-        draws = [(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(n_roots)]
-        scale = lcm(*[q for _, q in draws])
-        yield [p * (scale // q) for p, q in draws], scale
+        yield [rng.getrandbits(20) - 2**19 for _ in range(n_roots)]
 
 
 def _agrees(form: ClosedForm, r1: int, r2: int, rootsE: Sequence[Scalar], rootsF: Sequence[Scalar]) -> bool:
@@ -242,23 +239,17 @@ def _proved(form: ClosedForm, r1: int, r2: int) -> bool:
     )
 
 
-def _counterexample(form: ClosedForm, r1: int, r2: int, point: Point) -> Counterexample | None:
-    """Check a point on its integer roots; confirm a disagreement in Fractions.
+def _counterexample(form: ClosedForm, r1: int, r2: int, roots: Sequence[int]) -> Counterexample | None:
+    """Check a sample point on its integer roots; report a disagreement there.
 
-    The confirmation runs at the rational point through the public
-    ``Fraction`` path, which also builds the reported counterexample.
+    The integers decide the point's whole ray (see the module docstring), so
+    the report is built at the same point through the public path.
     """
-    roots, scale = point
     if _agrees(form, r1, r2, roots[:r1], roots[r1:]):
         return None
-    spec = RootSpec(
-        tuple(Fraction(x, scale) for x in roots[:r1]),
-        tuple(Fraction(x, scale) for x in roots[r1:]),
-    )
+    spec = RootSpec(roots[:r1], roots[r1:])
     predicted = form(r1, r2, chern_from_roots(spec.rootsE), chern_from_roots(spec.rootsF))
     actual = tensor_from_roots(spec)
-    if predicted == actual:
-        return None
     # A form may return int classes; the report carries Fractions either way.
     return Counterexample(spec, ScalarChern(*rats((predicted.c1, predicted.c2, predicted.c3))), actual)
 
@@ -280,12 +271,12 @@ def verify_tensor_formulas(
     """
     if max_rank < 1:
         raise InvalidInput("max_rank must be at least 1")
-    if max_rank > 6:
-        raise LimitExceeded("max_rank is capped at 6 to keep runs in seconds")
+    if max_rank > MAX_RANK:
+        raise LimitExceeded(f"max_rank is capped at {MAX_RANK} to keep runs in seconds")
     if trials < 1:
         raise InvalidInput("trials must be at least 1")
-    if trials > _MAX_TRIALS:
-        raise LimitExceeded(f"trials is capped at {_MAX_TRIALS} to keep runs in seconds")
+    if trials > MAX_TRIALS:
+        raise LimitExceeded(f"trials is capped at {MAX_TRIALS} to keep runs in seconds")
     form = closed_form if closed_form is not None else tensor_closed_form
 
     pairs = []

@@ -216,6 +216,7 @@ P1_X_P2 = (["g0", "g1"], (((0, 0), (0, 1)), ((0, 1), (1, 0))), (2, 3), (3, 6))
     (((2, 1), (0, 1)), "c2X is not an integral combination of the declared curve lattice"),
     (((1, 1), (2, 2)), "c2X is not a rational combination of the declared curve lattice"),
     (((1, 2), (2, 4)), None),  # dependent generators: membership is not decided
+    (((2, 4), (1, 2)), None),  # the same, where a pivot-only solution is (3/2, 0)
 ])
 def test_lattice_check_eliminates_across_two_generators(lattice, message):
     import warnings

@@ -157,7 +157,7 @@ def test_rederiving_tangent_chern_from_threefold_fields():
 
 
 def test_preset_validation():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=r"^1 hypersurfaces in P\^5 cut a 4-fold, not a threefold$"):
         CIPreset(5, (2,))
     with pytest.raises(InvalidInput):
         CIPreset(2, ())

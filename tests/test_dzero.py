@@ -291,6 +291,9 @@ def test_enumeration_cap(monkeypatch):
         solve_dzero(DZeroProblem(model("[2] in P4"), (-50, 50), (-50, 50)))
     monkeypatch.setenv("CHERN3_MAX_ENUM", "1000000")
     solve_dzero(DZeroProblem(model("[2] in P4"), (-5, 5), (-5, 5)))
+    # a rectangle of exactly the cap's size is searched, Calabi-Yau targets included
+    monkeypatch.setenv("CHERN3_MAX_ENUM", "1")
+    assert solve_dzero(DZeroProblem(model("[5] in P4"), (0, 0), (0, 0))).witnesses == ((0, 0),)
 
 
 def test_the_congruence_modulus_is_capped_before_any_scan(monkeypatch, capsys):

@@ -130,6 +130,8 @@ def test_serre_genus_warns_on_non_geometric_values(quadric):
         serre_genus(quadric, DivClass((1,)), CurveClass((1,)), 1)  # half-integral
     with pytest.warns(IntegralityWarning):
         serre_genus(quadric, DivClass((1,)), CurveClass((1,)), -6)  # negative
+    with pytest.warns(IntegralityWarning):
+        serre_genus(quadric, DivClass((1,)), CurveClass((1,)), -2)  # genus -1
 
 
 # ---------------------------------------------------------------- ledger

@@ -79,9 +79,10 @@ def test_from_character_round_trips(quadric):
 
 
 def test_from_character_rejects_non_integral_rank(quadric):
-    bad = CharacterData(Fraction(3, 2), DivClass((0,)), CurveClass((0,)), 0)
-    with pytest.raises(NonIntegralRank):
-        from_character(quadric, bad)
+    for ch0 in (Fraction(3, 2), 0):
+        bad = CharacterData(ch0, DivClass((0,)), CurveClass((0,)), 0)
+        with pytest.raises(NonIntegralRank):
+            from_character(quadric, bad)
 
 
 # ---------------------------------------------------------------- tensor
@@ -343,9 +344,11 @@ def test_dimension_mismatch_surfaces(quadric):
     rng = random.Random(73)
     Y = random_threefold(rng, m=2)
     F = random_chern(rng, Y)
-    with pytest.raises(DimensionMismatch):
+    # the guard names the sheaf data before a deeper length check can fire
+    message = r"^sheaf data of length \(2, 2\) does not live on a threefold with 1 generators$"
+    with pytest.raises(DimensionMismatch, match=message):
         euler_char(quadric, F)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=message):
         tensor(quadric, F, F)
 
 
@@ -378,7 +381,8 @@ def test_c3_is_a_plain_fraction(c3, value):
     lambda: ChernData(2, (1.5,), (0,), 0),
     lambda: ChernData(2, (1,), (0,), 1.5),
     lambda: ScalarChern(0, 1.5, 0),
-], ids=["rat", "DivClass", "ChernData.c1", "ChernData.c3", "ScalarChern"])
+    lambda: ChernData(2, DivClass((1,)), CurveClass((0,)), 1.5),
+], ids=["rat", "DivClass", "ChernData.c1", "ChernData.c3", "ScalarChern", "ChernData.c3 beside classes"])
 def test_floats_are_rejected_everywhere(build):
     with pytest.raises(InvalidInput, match="got float"):
         build()
@@ -395,6 +399,9 @@ def test_chern_data_rank_must_be_a_positive_integer(rank):
     (lambda: ChernData(2, CurveClass((1,)), CurveClass((1,)), 0), "cannot use CurveClass as DivClass"),
     (lambda: CharacterData(2, DivClass((1,)), DivClass((1,)), 0), "cannot use DivClass as CurveClass"),
     (lambda: CharacterData(2, CurveClass((1,)), CurveClass((1,)), 0), "cannot use CurveClass as DivClass"),
+    # exact c3: each class is still checked, not only when all three types fit
+    (lambda: ChernData(2, DivClass((1,)), DivClass((1,)), Fraction(0)), "cannot use DivClass as CurveClass"),
+    (lambda: ChernData(2, CurveClass((1,)), CurveClass((1,)), Fraction(0)), "cannot use CurveClass as DivClass"),
 ])
 def test_a_class_of_the_other_codimension_is_named(build, message):
     with pytest.raises(InvalidInput, match=message):

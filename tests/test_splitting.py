@@ -50,6 +50,10 @@ def test_root_spec_validation():
         RootSpec((), (1,))
     with pytest.raises(InvalidInput):
         RootSpec((Fraction(10**7),), (1,))
+    with pytest.raises(InvalidInput, match="exceeds the 10"):
+        RootSpec((10**6 + 1,), (1,))
+    # the bound itself is inside, for numerators and denominators alike
+    assert RootSpec((10**6,), (Fraction(1, 10**6),)).rootsF == (Fraction(1, 10**6),)
 
 
 def test_closed_form_line_times_line():
@@ -110,6 +114,12 @@ def test_harness_detects_perturbed_closed_form():
         assert pair.counterexample is not None
         assert pair.counterexample.closed_form != pair.counterexample.from_roots
 
+    # E = (1, 1) against F = (0,) is the first grid point where c2(E) != 0
+    report = verify_tensor_formulas(max_rank=2, trials=20, seed=42, closed_form=flipped)
+    (pair,) = [p for p in report.pairs if (p.r1, p.r2) == (2, 1)]
+    assert pair.grid_checks == 7
+    assert (pair.counterexample.spec.rootsE, pair.counterexample.spec.rootsF) == ((1, 1), (0,))
+
 
 def test_verify_guards():
     with pytest.raises(LimitExceeded):
@@ -118,8 +128,9 @@ def test_verify_guards():
         verify_tensor_formulas(trials=0)
     with pytest.raises(InvalidInput, match="max_rank must be at least 1"):
         verify_tensor_formulas(max_rank=0)
-    with pytest.raises(InvalidInput, match="ranks must be positive"):
-        tensor_closed_form(0, 1, ScalarChern(0, 0, 0), ScalarChern(0, 0, 0))
+    for r1, r2 in ((0, 1), (1, 0)):
+        with pytest.raises(InvalidInput, match="ranks must be positive"):
+            tensor_closed_form(r1, r2, ScalarChern(0, 0, 0), ScalarChern(0, 0, 0))
 
 
 def test_reports_are_deterministic_for_a_seed():
@@ -189,13 +200,13 @@ def test_each_pair_calls_the_closed_form_once_per_proof_and_sample():
     assert len(calls) == proof + 9 * (36 + 7)
 
 
-def test_random_points_scale_the_seeded_rational_draws():
-    # each root is rng.randint(-30, 30) / rng.randint(1, 12), drawn in that order
+def test_random_points_replay_one_seeded_draw_per_root():
+    # each root is rng.getrandbits(20) - 2**19, drawn in order, E's roots first
     for n_roots in (2, 7, 12):
         rng, replay = random.Random(n_roots), random.Random(n_roots)
-        for roots, scale in _random_points(rng, n_roots, 25):
-            want = [Fraction(replay.randint(-30, 30), replay.randint(1, 12)) for _ in range(n_roots)]
-            assert [Fraction(x, scale) for x in roots] == want
+        points = list(_random_points(rng, n_roots, 25))
+        assert points == [[replay.getrandbits(20) - 2**19 for _ in range(n_roots)] for _ in range(25)]
+        assert all(type(x) is int and -(2**19) <= x < 2**19 for point in points for x in point)
 
 
 # Monomials in (c1E, c2E, c3E, c1F, c2F, c3F) as exponent tuples, of weight
