@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, TypeVar
 
@@ -111,6 +111,11 @@ class Threefold:
     codimension-2 classes; consistency of c2(X) with that lattice is
     checked with a warning, not an error, since intermediate classes are
     genuinely fractional.
+
+    Two fields are derived in ``__post_init__`` and are not constructor
+    arguments: ``m``, the number of generators, and ``c1X_is_zero``, whether
+    c1(X) vanishes.  They take no part in ``==``, ``hash`` or ``repr``, and
+    ``dataclasses.replace`` recomputes them.
     """
 
     generator_names: tuple[str, ...]
@@ -118,10 +123,12 @@ class Threefold:
     c1X: DivClass
     c2X: CurveClass
     curve_lattice: tuple[CurveClass, ...] | None = None
+    m: int = field(init=False, repr=False, compare=False)
+    c1X_is_zero: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def m(self) -> int:
-        return len(self.generator_names)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "m", len(self.generator_names))
+        object.__setattr__(self, "c1X_is_zero", self.c1X.is_zero)
 
 
 def make_threefold(

@@ -193,19 +193,28 @@ def _residues(B: int, E: int, q: int) -> list[int]:
 def _grid_zeros(
     a: Fraction, b: Fraction, e: Fraction, k_range: tuple[int, int], c_range: tuple[int, int]
 ) -> Iterator[tuple[int, int]]:
-    """Every (k, c) of the rectangle with a c + b k^2 + e = 0, in (k, c) order,
-    yielded a row of k at a time, so the grid is never held whole.
+    """Every (k, c) of the rectangle with a c + b k^2 + e = 0, in (k, c) order.
 
     The independent dumb check behind every dzero verdict: it tests each
     point, on integers it gets by clearing the denominators of (a, b, e)
     itself, and never reads the normalized relation, so a fault in
     _normalize or in the congruence solver cannot hide here.
+
+    The column of values a c is built once; in each row of k, ``list.count``
+    compares every one of them with -(b k^2 + e), so every point is still
+    tested once per row, and ``list.index`` then finds each zero.  Memory is
+    one int per c of the range, at most the enumeration cap.
     """
     scale = math.lcm(a.denominator, b.denominator, e.denominator)
     ia, ib, ie = (x.numerator * (scale // x.denominator) for x in (a, b, e))
+    c_lo, c_hi = c_range
+    column = [ia * c for c in range(c_lo, c_hi + 1)]
     for k in range(k_range[0], k_range[1] + 1):
-        rest = ib * k * k + ie
-        yield from [(k, c) for c in range(c_range[0], c_range[1] + 1) if ia * c + rest == 0]
+        target = -(ib * k * k + ie)
+        j = -1
+        for _ in range(column.count(target)):
+            j = column.index(target, j + 1)
+            yield k, c_lo + j
 
 
 def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport:
@@ -251,9 +260,9 @@ def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport
 
     obstruction = None
     if not residues:
-        q = next((q for q in range(2, A + 1) if A % q == 0 and not _residues(B, E, q)), None)
-        if q is None:  # cannot happen: q = A itself certifies
-            raise SelfCheckFailed("dzero congruence check", f"no certificate modulo {A}")
+        # No residue means A >= 2, since modulo 1 the residue 0 always exists,
+        # and then q = A itself has none: the search always ends.
+        q = next(q for q in range(2, A + 1) if A % q == 0 and not _residues(B, E, q))
         obstruction = Obstruction(
             "parity" if q == 2 else "congruence",
             q,
@@ -273,7 +282,7 @@ def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport
     c2 = {c: generator * c for c in {c for _, c in witnesses}}
     c3 = Fraction(0)
     for k, c in witnesses:
-        if expected_dim(X, ChernData(2, c1[k], c2[c], c3)) != 0:
+        if expected_dim(X, ChernData(2, c1[k], c2[c], c3)):
             raise SelfCheckFailed("dzero witness check", f"witness ({k}, {c}) fails re-evaluation")
 
     return DZeroReport(

@@ -49,7 +49,7 @@ def expected_dim(X: Threefold, F: ChernData) -> Fraction:
     if F.rank != 2:
         raise RankUnsupported(f"expected dimension is computed for rank 2, got rank {F.rank}")
     _check_on(X, F)
-    if X.c1X.is_zero:
+    if X.c1X_is_zero:
         return _ZERO
     return 1 - ext_euler(X, F)
 

@@ -60,7 +60,7 @@ class CharacterData:
 
 
 def _check_on(X: Threefold, F: ChernData) -> None:
-    if len(F.c1) != X.m or len(F.c2) != X.m:
+    if len(F.c1.coords) != X.m or len(F.c2.coords) != X.m:
         raise DimensionMismatch(
             f"sheaf data of length ({len(F.c1)}, {len(F.c2)}) does not live on a "
             f"threefold with {X.m} generators"

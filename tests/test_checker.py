@@ -118,6 +118,14 @@ def test_checker_agrees_with_jsonschema_best_match(name, data):
         assert got == expected
 
 
+def test_checker_agrees_with_jsonschema_that_max_items_zero_means_empty():
+    # No schema of the package has maxItems: 0, so the draws above never reach this message.
+    schema = {"type": "array", "maxItems": 0}
+    oracle = jsonschema.validators.validator_for(schema)(schema)
+    expected = verdict(jsonschema.exceptions.best_match(oracle.iter_errors([1])))
+    assert verdict(checker.best_match(schema, [1])) == expected == ("[1] is expected to be empty", ["maxItems"])
+
+
 @pytest.mark.parametrize("command, payload", [
     ("chi", {"preset": "[2] in P4", "rank": 2, "c1": [1], "c2": [1], "c3": "0"}),
     ("chi", {"preset": "[2] in P4", "rank": 2, "c1": [1], "c2": [1], "c3": "0", "threefold": {}}),

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -189,6 +190,28 @@ def test_json_round_trip_random_models():
     for _ in range(20):
         X = random_threefold(rng)
         assert threefold_from_json(threefold_to_json(X)) == X
+
+
+def test_derived_fields_follow_the_generators_and_c1X(quintic):
+    rng = random.Random(31)
+    models = [quintic, random_threefold(rng, 2, zero_c1=True)] + [random_threefold(rng) for _ in range(6)]
+    for X in models:
+        doc = threefold_to_json(X)
+        lattice = set() if X.curve_lattice is None else {"curve_lattice"}
+        assert set(doc) == {"schema", "generators", "T", "c1X", "c2X"} | lattice
+        assert repr(X) == (f"Threefold(generator_names={X.generator_names!r}, T={X.T!r}, c1X={X.c1X!r}, "
+                           f"c2X={X.c2X!r}, curve_lattice={X.curve_lattice!r})")
+        again = threefold_from_json(doc)
+        flipped = dataclasses.replace(X, c1X=DivClass((1,) * X.m) if X.c1X_is_zero else DivClass.zero(X.m))
+        for Y in (X, again, flipped):
+            assert Y.m == len(Y.generator_names)
+            assert Y.c1X_is_zero == Y.c1X.is_zero
+        assert flipped.c1X_is_zero != X.c1X_is_zero
+        assert again == X and hash(again) == hash(X) and threefold_to_json(again) == doc
+        # The derived fields take no part in == or hash.
+        object.__setattr__(again, "m", X.m + 1)
+        object.__setattr__(again, "c1X_is_zero", not X.c1X_is_zero)
+        assert again == X and hash(again) == hash(X) and repr(again) == repr(X)
 
 
 @pytest.mark.parametrize("key", ["generators", "T", "c1X", "c2X"])

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chern3 import dzero
 from chern3.chow import DivClass, make_threefold, pair_div_curve
@@ -342,6 +342,38 @@ def test_integer_grid_equals_fraction_grid(name):
     assert list(dzero._grid_zeros(a, b, e, k_range, c_range)) == fraction_grid
     if name == "custom":
         assert all(x.denominator > 1 for x in (a, b, e)) and fraction_grid
+
+
+@st.composite
+def grid_cases(draw):
+    """A condition (a, b, e) and a rectangle of one row, one column or both
+    drawn; half the time e is chosen so that a point of the rectangle is a
+    zero, and with a = 0 that makes its whole row zeros."""
+    k_lo, c_lo = draw(st.integers(-8, 8)), draw(st.integers(-30, 30))
+    shape = draw(st.sampled_from(("row", "column", "general")))
+    k_hi = k_lo if shape == "row" else k_lo + draw(st.integers(0, 8))
+    c_hi = c_lo if shape == "column" else c_lo + draw(st.integers(0, 30))
+    a, b = draw(st.just(Fraction(0)) | RATIONALS), draw(RATIONALS)
+    if draw(st.booleans()):
+        k, c = draw(st.integers(k_lo, k_hi)), draw(st.integers(c_lo, c_hi))
+        e = -(a * c + b * k * k)
+    else:
+        e = draw(RATIONALS)
+    return (a, b, e), (k_lo, k_hi), (c_lo, c_hi)
+
+
+@settings(max_examples=300, deadline=None)
+@example(((Fraction(0),) * 3, (-3, 3), (-5, 5)))  # the Calabi-Yau condition: every point is a zero
+@given(grid_cases())
+def test_grid_zeros_equal_the_fraction_grid_on_drawn_conditions(case):
+    (a, b, e), k_range, c_range = case
+    fraction_grid = [
+        (k, c)
+        for k in range(k_range[0], k_range[1] + 1)
+        for c in range(c_range[0], c_range[1] + 1)
+        if a * c + b * k * k + e == 0
+    ]
+    assert list(dzero._grid_zeros(a, b, e, k_range, c_range)) == fraction_grid
 
 
 def test_grid_check_does_not_read_the_normalized_relation(monkeypatch, capsys):
