@@ -219,15 +219,10 @@ def _warn_if_c2X_outside_lattice(X: Threefold) -> None:
         return
     coords = _solve_rational_system([g.coords for g in X.curve_lattice], X.c2X.coords)
     # None means dependent generators: membership is not decided here.
-    if coords is False:
+    if coords is False or (coords and any(x.denominator != 1 for x in coords)):
+        kind = "a rational" if coords is False else "an integral"
         warnings.warn(
-            "c2X is not a rational combination of the declared curve lattice",
-            IntegralityWarning,
-            stacklevel=3,
-        )
-    elif coords is not None and any(x.denominator != 1 for x in coords):
-        warnings.warn(
-            "c2X is not an integral combination of the declared curve lattice",
+            f"c2X is not {kind} combination of the declared curve lattice",
             IntegralityWarning,
             stacklevel=3,
         )

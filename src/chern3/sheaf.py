@@ -4,13 +4,17 @@
 ``CharacterData`` is the Chern-character presentation of the same data.
 Tensor products are computed through characters, which multiply degreewise,
 because that route is uniform in rank; the closed-form rank-by-rank tensor
-formulas live in ``splitting`` and serve as an independent oracle in the
-test suite.
+formulas of ``splitting`` are an independent oracle in the test suite.
 
-``euler_char`` evaluates the Hirzebruch-Riemann-Roch expression for a
-threefold term by term; the individual terms are exposed for audit output
-because an eight-term formula with fractional weights is exactly the kind
-of surface where a transcription slip would otherwise go unnoticed.
+``euler_char`` evaluates Hirzebruch-Riemann-Roch on a threefold term by term;
+the terms are exposed for audit output, since an eight-term formula with
+fractional weights is where a transcription slip would go unnoticed.
+
+Weight bound: give c1 and a twist weight 1, c2 weight 2, c3 weight 3.  Classes
+multiply only by type and scale only by ranks and constants, so each c_i
+returned has weight i <= 3, and each intersection number weight <= 3.  The
+tests prove identities among them on {x in N^n : sum x <= 3}, unisolvent for
+degree <= 3 (Chung and Yao, SIAM J. Numer. Anal. 14, 1977).
 """
 
 from __future__ import annotations

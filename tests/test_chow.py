@@ -19,7 +19,7 @@ from chern3.chow import (
 from chern3.errors import AsymmetricForm, DimensionMismatch, IntegralityWarning, InvalidInput
 from chern3.rationals import rats
 
-from conftest import random_div, random_rat, random_threefold
+from conftest import P1_X_P2, random_div, random_rat, random_threefold
 
 
 def test_make_threefold_quadric_model(quadric):
@@ -228,10 +228,6 @@ def test_fractional_rationals_round_trip():
     assert doc["T"] == [[["1/2"]]]
     assert doc["c2X"] == ["-5/7"]
     assert threefold_from_json(doc) == X
-
-
-# P1 x P2: g0 the class of a fibre, g1 the pulled-back hyperplane, g0.g1.g1 = 1.
-P1_X_P2 = (["g0", "g1"], (((0, 0), (0, 1)), ((0, 1), (1, 0))), (2, 3), (3, 6))
 
 
 @pytest.mark.parametrize("lattice, message", [

@@ -210,11 +210,35 @@ def test_a_vanishing_c_coefficient_with_a_nonzero_condition_is_a_build_bug(monke
     assert "Traceback" not in err
 
 
-def test_a_dimension_formula_off_the_affine_form_fails_the_reduction_check(monkeypatch, capsys):
-    # k^3 c vanishes at the three points (a, b, e) are read from, so only the
-    # three pseudorandom check points can see it.
-    monkeypatch.setattr(dzero, "expected_dim", lambda X, F: expected_dim(X, F) + F.c1.coords[0] ** 3 * F.c2.coords[0])
-    message = "dzero affine reduction: expected_dim at (-3, 4) is off a c + b k^2 + e"
+def test_dzero_condition_reads_expected_dim_at_the_six_proof_points(monkeypatch):
+    # The six points are unisolvent for the span of 1, k, k^2, k^3, c, k c:
+    # dropping or moving one makes the reduction check no proof.
+    calls = []
+
+    def recording(X, F):
+        calls.append((F.c1.coords[0], F.c2.coords[0] / X.curve_lattice[0].coords[0]))
+        return expected_dim(X, F)
+
+    monkeypatch.setattr(dzero, "expected_dim", recording)
+    dzero_condition(model("[2] in P4"))
+    assert calls == [(0, 0), (0, 1), (1, 0), (2, 0), (3, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("term, point", [
+    (lambda k, c: k, (2, 0)),
+    (lambda k, c: k**3, (2, 0)),
+    (lambda k, c: k * c, (1, 1)),
+    (lambda k, c: k**3 * c, (1, 1)),
+], ids=["k", "k^3", "k*c", "k^3*c"])
+def test_a_dimension_formula_off_the_affine_form_fails_the_reduction_check(monkeypatch, capsys, term, point):
+    # Each term has weight <= 3 but is off the affine form.  At the three
+    # points (a, b, e) are read from it vanishes or is absorbed into b, so
+    # the first of the three check points it moves is ``point``.
+    def perturbed(X, F):
+        return expected_dim(X, F) + term(F.c1.coords[0], F.c2.coords[0])
+
+    monkeypatch.setattr(dzero, "expected_dim", perturbed)
+    message = f"dzero affine reduction: expected_dim at ({point[0]}, {point[1]}) is off a c + b k^2 + e"
     with pytest.raises(SelfCheckFailed) as exc:
         solve_dzero(DZeroProblem(model("[2] in P4"), (-5, 5), (-5, 5)))
     assert str(exc.value) == message

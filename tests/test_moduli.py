@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,9 +23,9 @@ from chern3.moduli import (
     serre_c3,
     serre_genus,
 )
-from chern3.sheaf import ChernData, twist
+from chern3.sheaf import ChernData, dual, euler_char, tensor, twist
 
-from conftest import random_chern, random_div, random_threefold
+from conftest import PROOF_RANKS, PROOF_THREEFOLDS, lattice_data, random_chern, random_div, random_threefold
 
 
 def test_ext_euler_goldens(quadric, ci23):
@@ -49,6 +50,17 @@ def test_ext_euler_twist_invariant():
         F = random_chern(rng, X)
         L = random_div(rng, X)
         assert ext_euler(X, twist(X, F, L)) == ext_euler(X, F)
+    for X, rank in itertools.product(PROOF_THREEFOLDS, PROOF_RANKS):
+        for F, L in lattice_data(X, (rank,), divisors=1):
+            assert ext_euler(X, twist(X, F, L)) == ext_euler(X, F)
+
+
+def test_ext_euler_is_chi_of_end_F():
+    # Two routes to chi(F, F): the closed form through the discriminant, and
+    # Riemann-Roch on F* (x) F.  Proved on lattice points (conftest.lattice_data).
+    for X, rank in itertools.product(PROOF_THREEFOLDS, PROOF_RANKS):
+        for (F,) in lattice_data(X, (rank,)):
+            assert ext_euler(X, F) == euler_char(X, tensor(X, dual(X, F), F))
 
 
 def test_expected_dim_paper_instances(quadric, ci23):

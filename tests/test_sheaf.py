@@ -32,7 +32,7 @@ from chern3.sheaf import (
 )
 from chern3.splitting import ScalarChern, tensor_closed_form
 
-from conftest import random_chern, random_div, random_threefold
+from conftest import PROOF_RANKS, PROOF_THREEFOLDS, lattice_data, random_chern, random_div, random_threefold
 
 
 def line_bundle(X, coeffs):
@@ -76,6 +76,9 @@ def test_from_character_round_trips(quadric):
         X = random_threefold(rng)
         F = random_chern(rng, X)
         assert from_character(X, to_character(X, F)) == F
+    for X, rank in itertools.product(PROOF_THREEFOLDS, PROOF_RANKS):
+        for (F,) in lattice_data(X, (rank,)):
+            assert from_character(X, to_character(X, F)) == F
 
 
 def test_from_character_rejects_non_integral_rank(quadric):
@@ -112,19 +115,30 @@ def test_tensor_commutative_and_associative():
         E, F, G = (random_chern(rng, X) for _ in range(3))
         assert tensor(X, E, F) == tensor(X, F, E)
         assert tensor(X, tensor(X, E, F), G) == tensor(X, E, tensor(X, F, G))
+    # A pair of sheaves has 286 lattice points at Picard rank 2 and a triple
+    # 816, so there each proof takes one rank tuple.
+    quadric, p1_x_p2 = PROOF_THREEFOLDS
+    pairs = [(quadric, (r, r % 4 + 1)) for r in PROOF_RANKS]
+    for X, ranks in pairs + [(p1_x_p2, (3, 4))]:
+        for E, F in lattice_data(X, ranks):
+            assert tensor(X, E, F) == tensor(X, F, E)
+    triples = [(quadric, (r, r % 4 + 1, (r + 1) % 4 + 1)) for r in PROOF_RANKS]
+    for X, ranks in triples + [(p1_x_p2, (2, 3, 4))]:
+        for E, F, G in lattice_data(X, ranks):
+            assert tensor(X, tensor(X, E, F), G) == tensor(X, E, tensor(X, F, G))
 
 
 def test_tensor_matches_closed_form_on_quadric(quadric):
     # m = 1 classes are multiples of powers of H: identify coefficients via
     # H^3 = 2 and compare with the scalar closed-form route.
     t = Fraction(2)
+    scalar = lambda D: ScalarChern(
+        D.c1.coords[0], D.c2.coords[0] / t, D.c3 / t
+    )
     rng = random.Random(41)
     for _ in range(50):
         E = random_chern(rng, quadric)
         F = random_chern(rng, quadric)
-        scalar = lambda D: ScalarChern(
-            D.c1.coords[0], D.c2.coords[0] / t, D.c3 / t
-        )
         predicted = tensor_closed_form(E.rank, F.rank, scalar(E), scalar(F))
         actual = scalar(tensor(quadric, E, F))
         assert (actual.c1, actual.c2, actual.c3) == (
@@ -132,6 +146,11 @@ def test_tensor_matches_closed_form_on_quadric(quadric):
             predicted.c2,
             predicted.c3,
         )
+    # The proof, at the 84 lattice points of E's and F's six coordinates.
+    for ranks in itertools.product(PROOF_RANKS, repeat=2):
+        for E, F in lattice_data(quadric, ranks):
+            predicted = tensor_closed_form(E.rank, F.rank, scalar(E), scalar(F))
+            assert scalar(tensor(quadric, E, F)) == predicted
 
 
 # ---------------------------------------------------------------- dual, twist
@@ -149,6 +168,9 @@ def test_dual_involution():
         X = random_threefold(rng)
         F = random_chern(rng, X)
         assert dual(X, dual(X, F)) == F
+    for X, rank in itertools.product(PROOF_THREEFOLDS, PROOF_RANKS):
+        for (F,) in lattice_data(X, (rank,)):
+            assert dual(X, dual(X, F)) == F
 
 
 def test_twist_quadric_golden(quadric):
@@ -177,6 +199,11 @@ def test_twist_group_action():
         L = random_div(rng, X)
         assert twist(X, twist(X, F, L), -L) == F
         assert twist(X, F, DivClass.zero(X.m)) == F
+    # 220 lattice points per rank at Picard rank 2, so there one rank is proved.
+    quadric, p1_x_p2 = PROOF_THREEFOLDS
+    for X, rank in [(quadric, rank) for rank in PROOF_RANKS] + [(p1_x_p2, 3)]:
+        for F, L, M in lattice_data(X, (rank,), divisors=2):
+            assert twist(X, twist(X, F, L), M) == twist(X, F, L + M)
 
 
 def test_twist_names_a_wrong_length_line_bundle(quadric):
@@ -209,6 +236,9 @@ def test_discriminant_twist_invariance():
         F = random_chern(rng, X)
         L = random_div(rng, X)
         assert discriminant(X, twist(X, F, L)) == discriminant(X, F)
+    for X, rank in itertools.product(PROOF_THREEFOLDS, PROOF_RANKS):
+        for F, L in lattice_data(X, (rank,), divisors=1):
+            assert discriminant(X, twist(X, F, L)) == discriminant(X, F)
 
 
 # ---------------------------------------------------------------- Riemann-Roch
@@ -282,25 +312,31 @@ def test_euler_char_line_bundles_against_koszul_oracle(ambient, degrees):
         assert euler_char(X, line_bundle(X, (k,))) == expected, (ambient, degrees, k)
 
 
-def test_euler_char_matches_todd_class_route():
+def todd_route(X, F):
     # independent reformulation: chi = ch3 + ch2.c1(X)/2
     #   + ch1.(c1(X)^2 + c2(X))/12 + rank c1(X).c2(X)/24
+    ch = to_character(X, F)
+    return (
+        ch.ch3
+        + pair_div_curve(X, X.c1X, ch.ch2) / 2
+        + (
+            triple(X, X.c1X, X.c1X, ch.ch1)
+            + pair_div_curve(X, ch.ch1, X.c2X)
+        )
+        / 12
+        + ch.ch0 * pair_div_curve(X, X.c1X, X.c2X) / 24
+    )
+
+
+def test_euler_char_matches_todd_class_route():
     rng = random.Random(137)
     for _ in range(100):
         X = random_threefold(rng)
         F = random_chern(rng, X)
-        ch = to_character(X, F)
-        todd_route = (
-            ch.ch3
-            + pair_div_curve(X, X.c1X, ch.ch2) / 2
-            + (
-                triple(X, X.c1X, X.c1X, ch.ch1)
-                + pair_div_curve(X, ch.ch1, X.c2X)
-            )
-            / 12
-            + ch.ch0 * pair_div_curve(X, X.c1X, X.c2X) / 24
-        )
-        assert euler_char(X, F) == todd_route
+        assert euler_char(X, F) == todd_route(X, F)
+    for X, rank in itertools.product(PROOF_THREEFOLDS, PROOF_RANKS):
+        for (F,) in lattice_data(X, (rank,)):
+            assert euler_char(X, F) == todd_route(X, F)
 
 
 def test_to_character_is_left_inverse_too():
