@@ -12,9 +12,9 @@ fractional weights is where a transcription slip would go unnoticed.
 
 Weight bound: give c1 and a twist weight 1, c2 weight 2, c3 weight 3.  Classes
 multiply only by type and scale only by ranks and constants, so each c_i
-returned has weight i <= 3, and each intersection number weight <= 3.  The
-tests prove identities among them on {x in N^n : sum x <= 3}, unisolvent for
-degree <= 3 (Chung and Yao, SIAM J. Numer. Anal. 14, 1977).
+returned has weight i <= 3, each intersection number weight <= 3, and the
+degree is at most the weight.  The tests prove identities on {x in N^n :
+sum x <= 3}, unisolvent for degree <= 3 (Chung and Yao, 1977).
 """
 
 from __future__ import annotations
