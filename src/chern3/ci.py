@@ -23,6 +23,7 @@ from enum import Enum
 
 from .chow import Threefold, make_threefold
 from .errors import DimensionMismatch, InvalidInput, RedundantDegreeWarning
+from .rationals import require_ints
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,9 @@ class CIPreset:
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+        object.__setattr__(self, "degrees", tuple(self.degrees))
+        require_ints("ambient", self.ambient)
+        require_ints("degrees", *self.degrees)
         if self.ambient < 3:
             raise InvalidInput(f"ambient projective space P^{self.ambient} is too small")
         if any(d < 1 for d in self.degrees):

@@ -11,9 +11,9 @@ a serre answer.  One walker writes every number, in both modes: JSON text,
 and the same data flattened to name/value rows for a table, so the two
 modes cannot drift apart.  It writes a class vector as its coordinates, so
 ``ChernData`` reads as ``chern_to_json`` writes it, and refuses a value that
-is not exact, a float say, with ``SelfCheckFailed``.  Output is written in
-chunks; rows of ints, such as dzero witnesses, are formatted a row at a
-time and never copied.
+is not exact, a float say, with ``SelfCheckFailed``.  A report is rendered,
+and so checked, in full before ``--out`` is opened or a byte written; then
+it is written in chunks, int rows such as dzero witnesses a row at a time.
 
 The schemas are checked by ``chern3.checker``, which reads exactly the
 keywords they use and gives jsonschema's messages; building the schema
@@ -36,6 +36,7 @@ import json
 import re
 import sys
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import partial
@@ -492,7 +493,7 @@ def validate_payload(command: str, payload: dict) -> None:
         return
     # An error inside allOf[i] breaks the command's rule i: name it as the CLI does.
     where = error.absolute_schema_path
-    if len(where) > 1 and where[0] == "allOf":
+    if where[0] == "allOf":
         raise SchemaError(COMMANDS[command].rules[where[1]][0].format(command=command))
     raise SchemaError(f"{command}: {_schema_message(error)}")
 
@@ -524,7 +525,7 @@ _CHUNK_ROWS = 4096  # int rows per chunk of output
 
 
 class _IntRows(NamedTuple):
-    """A table block: ``rows`` are tuples of ``width`` ints, named ``name[i][j]``."""
+    """``rows``, tuples of ``width`` ints: ``name[i][j]`` in a table; in JSON ``name`` is their indent."""
 
     name: str
     rows: tuple | list
@@ -581,25 +582,16 @@ def _walk(value: Any, at: str, table: bool) -> Iterator[Any]:
     (``table`` false) it yields text, ``at`` being the newline and indent
     that ``value``'s last line starts with, and sorts keys as
     ``json.dumps(sort_keys=True)`` does.  For a table it yields a (name,
-    text) row per scalar, ``at`` being the name of ``value``, or an
-    ``_IntRows`` block, in field order.
+    text) row per scalar, ``at`` being the name of ``value``, in field
+    order.  In both modes a block of int rows is one ``_IntRows`` item.
     """
     if isinstance(value, (DivClass, CurveClass)):
         value = value.coords
     array = type(value) is list or type(value) is tuple
     if array:
         width = _int_row_width(value)
-        if width and table:
-            yield _IntRows(at, value, width)
-            return
         if width:
-            inner = at + "  "
-            row = "[" + ",".join([inner + "  %d"] * width) + inner + "]"
-            glue = "," + inner
-            for start in range(0, len(value), _CHUNK_ROWS):
-                chunk = value[start:start + _CHUNK_ROWS]
-                yield (glue if start else "[" + inner) + glue.join(map(row.__mod__, chunk))
-            yield at + "]"
+            yield _IntRows(at, value, width)
             return
         members = enumerate(value)
     else:
@@ -631,6 +623,17 @@ def _walk(value: Any, at: str, table: bool) -> Iterator[Any]:
     yield at + closing if sep == "," else opening + closing
 
 
+def _json_rows(block: _IntRows) -> Iterator[str]:
+    """The JSON text of an int-row block, one format string per row."""
+    inner = block.name + "  "
+    row = "[" + ",".join([inner + "  %d"] * block.width) + inner + "]"
+    glue = "," + inner
+    for start in range(0, len(block.rows), _CHUNK_ROWS):
+        chunk = block.rows[start:start + _CHUNK_ROWS]
+        yield (glue if start else "[" + inner) + glue.join(map(row.__mod__, chunk))
+    yield block.name + "]"
+
+
 def _json_chunks(response: Response) -> Iterator[str]:
     doc = {
         "schema": SCHEMA_VERSION,
@@ -639,7 +642,13 @@ def _json_chunks(response: Response) -> Iterator[str]:
         "data": response.data,
         "audit": [{"name": n, "value": v} for n, v in response.audit],
     }
-    return _walk(doc, "\n", False)
+    # The walk is rendered, so checked, before the first yield; int rows stay one item.
+    items = list(_walk(doc, "\n", False))
+    for item in items:
+        if type(item) is _IntRows:
+            yield from _json_rows(item)
+        else:
+            yield item
 
 
 def _name_length(item: tuple[str, str] | _IntRows) -> int:
@@ -669,8 +678,9 @@ def _table_rows(block: _IntRows, width: int) -> Iterator[str]:
 
 
 def _table_chunks(response: Response) -> Iterator[str]:
-    # An int-row block is one item, so the items are as small as the report.
+    # Both lists are rendered, so checked, before the first yield; int rows are one item.
     items = list(_walk(response.data, "", True))
+    audit = [(name, _table_scalar(value)) for name, value in response.audit]
     width = max(map(_name_length, items), default=0)
     yield f"{response.command}: {response.status}"
     for item in items:
@@ -678,11 +688,11 @@ def _table_chunks(response: Response) -> Iterator[str]:
             yield from _table_rows(item, width)
         else:
             yield f"\n  {item[0].ljust(width)}  {item[1]}"
-    if response.audit:
+    if audit:
         yield "\naudit:"
-        audit_width = max(len(name) for name, _ in response.audit)
-        for name, value in response.audit:
-            yield f"\n  {name.ljust(audit_width)}  {_table_scalar(value)}"
+        audit_width = max(len(name) for name, _ in audit)
+        for name, text in audit:
+            yield f"\n  {name.ljust(audit_width)}  {text}"
 
 
 def response_json(response: Response) -> str:
@@ -771,13 +781,6 @@ def _payload_from_args(args: argparse.Namespace) -> Request:
     return Request(args.command, payload, "json" if args.json else "table")
 
 
-def _write(stream: Any, chunks: Iterator[str]) -> None:
-    """Write the report a chunk at a time, so it is never one string."""
-    for chunk in chunks:
-        stream.write(chunk)
-    stream.write("\n")
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -798,12 +801,12 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(0)
         response = run(request)
         chunks = _json_chunks(response) if request.output_mode == "json" else _table_chunks(response)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as out:
-                _write(out, chunks)
-        else:
-            _write(sys.stdout, chunks)
-            sys.stdout.flush()
+        # next() renders, so checks, the whole report before --out is opened or a byte written.
+        chunks = chain([next(chunks)], chunks, ["\n"])
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as stream:
+            for chunk in chunks:  # a chunk at a time, so the report is never one string
+                stream.write(chunk)
+            stream.flush()
     except SchemaError as exc:
         print(f"SchemaError: {exc}", file=sys.stderr)
         return 2

@@ -43,6 +43,7 @@ from .errors import (
     UnsupportedPicardRank,
 )
 from .moduli import expected_dim
+from .rationals import require_ints
 from .sheaf import ChernData
 
 ENUM_CAP_ENV = "CHERN3_MAX_ENUM"
@@ -87,9 +88,10 @@ class DZeroProblem:
         _require_line_lattice(self.threefold)
         for name in ("k_range", "c_range"):
             lo, hi = getattr(self, name)
+            require_ints(name, lo, hi)
             if lo > hi:
                 raise InvalidInput(f"{name} [{lo}, {hi}] is empty")
-            object.__setattr__(self, name, (int(lo), int(hi)))
+            object.__setattr__(self, name, (lo, hi))
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,13 @@ def rat(value: int | str | Fraction) -> Fraction:
     raise InvalidInput(f"expected int, 'p/q' string or Fraction, got {type(value).__name__}")
 
 
+def require_ints(name: str, *values: object) -> None:
+    """Raise InvalidInput unless every value is an int; a bool or a float is not one."""
+    for value in values:
+        if type(value) is not int:
+            raise InvalidInput(f"{name}: expected an integer, got {type(value).__name__} {value!r}")
+
+
 def rats(values: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:
     return tuple(v if type(v) is Fraction else rat(v) for v in values)
 

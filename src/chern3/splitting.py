@@ -32,7 +32,7 @@ from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .errors import EmptyRoots, InvalidInput, LimitExceeded
-from .rationals import rat, rats
+from .rationals import rat, rats, require_ints
 
 _ROOT_BOUND = 10**6
 MAX_RANK = 6
@@ -269,6 +269,8 @@ def verify_tensor_formulas(
     sampled counterexample per rank pair is recorded so a red run replays
     directly (a pair refuted by the proof alone has none).
     """
+    for name, value in (("max_rank", max_rank), ("trials", trials), ("seed", seed)):
+        require_ints(name, value)
     if max_rank < 1:
         raise InvalidInput("max_rank must be at least 1")
     if max_rank > MAX_RANK:

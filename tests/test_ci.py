@@ -163,6 +163,11 @@ def test_preset_validation():
         CIPreset(2, ())
     with pytest.raises(InvalidInput):
         CIPreset(4, (0,))
+    # Degrees and the ambient dimension are ints: none is truncated or coerced.
+    for ambient, degrees, got in ((4, (2.9,), "float 2.9"), (4, (True,), "bool True"), (4, ("2",), "str '2'"),
+                                  (4.0, (2,), "float 4.0"), (True, (), "bool True")):
+        with pytest.raises(InvalidInput, match=f"expected an integer, got {got}$"):
+            CIPreset(ambient, degrees)
 
 
 def test_degree_one_warns_with_reduced_preset():

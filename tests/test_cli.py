@@ -1,13 +1,16 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chern3 import cli, splitting
 from chern3.chow import CurveClass, DivClass, threefold_to_json
@@ -121,6 +124,8 @@ def test_run_dzero():
     assert data["relation"] == "2c = k^2 + 1"
     assert [1, 1] in data["witnesses"]
     assert data["grid_checked"] is True
+    default = rendered_data(run_json("dzero", {"preset": "[2] in P4"}))
+    assert default["k_range"] == default["c_range"] == [-50, 50]
 
 
 def test_run_verify_paper_suite():
@@ -237,6 +242,7 @@ F_FLAG = json.dumps(SHEAF_DOC)
     ("chern", {"op": "dual", "preset": "[2] in P4", "F": {"rank": 2, "c1": [1], "c3": 0}}),
     ("threefold", {"ambient": 4, "degrees": [0]}),
     ("ledger", {"h0_N": -1, "h0_F": 0}),
+    ("dzero", {"preset": "[2] in P4", "k_range": [1, 2, 3]}),
 ])
 def test_validate_payload_reports_what_jsonschema_validate_raises(command, payload):
     with pytest.raises(jsonschema.ValidationError) as expected:
@@ -512,6 +518,9 @@ _responses = st.builds(
 
 @settings(deadline=None)
 @given(_responses, st.integers(1, 4))
+# Rows of width 1 and 10: the longest name of a block ends in [0] and in [9].
+@example(Response("ok", "chi", {"x": [(1,)]}, ()), 1)
+@example(Response("ok", "chi", {"x": [tuple(range(10))]}, ()), 1)
 def test_the_walker_renders_what_the_old_renderers_did(response, chunk_rows):
     with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
         assert response_json(response) == old_response_json(response)
@@ -530,6 +539,9 @@ REQUESTS_OF_EVERY_COMMAND = [
     ("dzero", {"preset": "[5] in P4", "k_range": [-12, 110], "c_range": [-1, 1]}),
     ("dzero", {"verify_paper": True}),
     ("verify", {"suite": "paper", "max_rank": 2, "trials": 3}),
+    # 10 and 11 witnesses: the row index gains a digit, so the padding changes.
+    ("dzero", {"preset": "[5] in P4", "k_range": [0, 9], "c_range": [0, 0]}),
+    ("dzero", {"preset": "[5] in P4", "k_range": [0, 10], "c_range": [0, 0]}),
 ]
 
 
@@ -563,6 +575,21 @@ def test_main_exit_codes(capsys, tmp_path):
 
     assert main(["--config", str(tmp_path / "missing.json")]) == 1
     assert "IOError" in capsys.readouterr().err
+
+    # The least value each schema admits.
+    for argv in (["chi", "--preset", "[2] in P4", "--rank", "1", "--c1", "1", "--c2", "1"],
+                 ["verify", "--tensor-formulas", "--max-rank", "1", "--trials", "1"],
+                 ["threefold", "--ambient", "5", "--degrees", "1,2"],
+                 ["ledger", "--h0-n", "0", "--h0-f", "0", "--h0-if", "0"]):
+        assert main(argv) == 0, argv
+    assert capsys.readouterr().out.endswith("ledger: ok\n  ext1  0\n")
+
+    # python -m chern3.cli reads sys.argv and exits with main's code.
+    argv = [sys.executable, "-m", "chern3.cli", "chi", "--preset", "[2] in P4", "--rank", "0", *CHI_FLAGS[2:]]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "SchemaError: chi: 0 is less than the minimum of 1 (at rank)\n"
 
 
 def test_main_verify_suite_exit_zero(capsys):
@@ -714,12 +741,18 @@ def test_the_walker_refuses_a_value_that_is_not_exact(data, audit):
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]])
-def test_main_refuses_a_float_in_a_report(monkeypatch, capsys, mode):
-    ledger = dataclasses.replace(COMMANDS["ledger"], handler=lambda payload: ({"ext1": 0.5}, []))
+@pytest.mark.parametrize("result", [({"ext1": 0.5}, []), ({"ext1": 1}, [("ext1", 0.5)])], ids=["data", "audit"])
+def test_main_refuses_a_float_in_a_report(monkeypatch, capsys, tmp_path, mode, result):
+    ledger = dataclasses.replace(COMMANDS["ledger"], handler=lambda payload: result)
     monkeypatch.setitem(COMMANDS, "ledger", ledger)
-    assert main(["ledger", "--h0-n", "1", "--h0-f", "1", "--h1-ic-zero", *mode]) == 1
-    err = capsys.readouterr().err
-    assert err == "SelfCheckFailed: report rendering: float 0.5 is not an exact value\n"
+    out = tmp_path / "report"
+    out.write_text("an earlier report\n")
+    argv = ["ledger", "--h0-n", "1", "--h0-f", "1", "--h1-ic-zero", *mode]
+    # Nothing is written, to stdout or to --out, and an existing --out file keeps its bytes.
+    for extra in ([], ["--out", str(out)]):
+        assert main([*argv, *extra]) == 1
+        assert capsys.readouterr() == ("", "SelfCheckFailed: report rendering: float 0.5 is not an exact value\n")
+        assert out.read_text() == "an earlier report\n"
 
 
 def test_main_without_a_command_prints_the_help(capsys):

@@ -462,6 +462,7 @@ def test_verify_paper_claims_full_run():
     assert by_name["[2,3] in P5"].relation == "2c = 3k^2 + 3"
     assert (1, 1) in by_name["[2] in P4"].witnesses
     assert (1, 3) in by_name["[2,3] in P5"].witnesses
+    assert {(entry.report.k_range, entry.report.c_range) for entry in report.entries} == {((-50, 50), (-50, 50))}
     for name in ("[1] in P4", "[3] in P4", "[4] in P4", "[2,2] in P5", "[2,2,2] in P6"):
         entry = by_name[name]
         assert not entry.solvable
@@ -480,8 +481,9 @@ WRONG_CLAIMS = {
                    "solvable but no witness in the search range"),
     "no-certificate": (("[3] in P4", False, None), partial(dataclasses.replace, obstruction=None),
                        "unsolvable but no certificate produced"),
-    "witness": (("[3] in P4", False, None), partial(dataclasses.replace, witnesses=((1, 1),)),
-                "witnesses ((1, 1),) contradict the claim"),
+    # Four witnesses, of which the message names the first three.
+    "witness": (("[3] in P4", False, None), partial(dataclasses.replace, witnesses=((1, 1), (2, 2), (3, 3), (4, 4))),
+                "witnesses ((1, 1), (2, 2), (3, 3)) contradict the claim"),
 }
 
 

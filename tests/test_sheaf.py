@@ -13,6 +13,7 @@ from chern3.chow import (
     triple,
 )
 from chern3.ci import CIPreset, build_ci
+from chern3.dzero import DZeroProblem
 from chern3.errors import DegenerateLine, DimensionMismatch, InvalidInput, NonIntegralRank
 from chern3.rationals import rat
 from chern3.sheaf import (
@@ -30,7 +31,7 @@ from chern3.sheaf import (
     to_character,
     twist,
 )
-from chern3.splitting import ScalarChern, tensor_closed_form
+from chern3.splitting import ScalarChern, tensor_closed_form, verify_tensor_formulas
 
 from conftest import PROOF_RANKS, PROOF_THREEFOLDS, lattice_data, random_chern, random_div, random_threefold
 
@@ -418,7 +419,14 @@ def test_c3_is_a_plain_fraction(c3, value):
     lambda: ChernData(2, (1,), (0,), 1.5),
     lambda: ScalarChern(0, 1.5, 0),
     lambda: ChernData(2, DivClass((1,)), CurveClass((0,)), 1.5),
-], ids=["rat", "DivClass", "ChernData.c1", "ChernData.c3", "ScalarChern", "ChernData.c3 beside classes"])
+    lambda: CIPreset(4, (2.9,)),
+    lambda: CIPreset(4.0, (2,)),
+    lambda: DZeroProblem(build_ci(CIPreset(4, (2,))), (-1.5, 2.7), (0, 1)),
+    lambda: verify_tensor_formulas(max_rank=2.5),
+    lambda: verify_tensor_formulas(trials=2.5),
+    lambda: verify_tensor_formulas(seed=1.5),
+], ids=["rat", "DivClass", "ChernData.c1", "ChernData.c3", "ScalarChern", "ChernData.c3 beside classes",
+        "CIPreset.degrees", "CIPreset.ambient", "DZeroProblem.k_range", "max_rank", "trials", "seed"])
 def test_floats_are_rejected_everywhere(build):
     with pytest.raises(InvalidInput, match="got float"):
         build()

@@ -128,6 +128,9 @@ def test_verify_guards():
         verify_tensor_formulas(trials=0)
     with pytest.raises(InvalidInput, match="max_rank must be at least 1"):
         verify_tensor_formulas(max_rank=0)
+    for name, value in (("max_rank", 2.5), ("trials", 2.5), ("seed", 1.5), ("trials", True), ("seed", "1")):
+        with pytest.raises(InvalidInput, match=f"^{name}: expected an integer, got {type(value).__name__} "):
+            verify_tensor_formulas(**{name: value})
     for r1, r2 in ((0, 1), (1, 0)):
         with pytest.raises(InvalidInput, match="ranks must be positive"):
             tensor_closed_form(r1, r2, ScalarChern(0, 0, 0), ScalarChern(0, 0, 0))
