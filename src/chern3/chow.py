@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence, TypeVar
 
 from .errors import AsymmetricForm, DimensionMismatch, IntegralityWarning, InvalidInput
-from .rationals import rat, rats
+from .rationals import SCHEMA_VERSION, rat, rats
 
 
 def _check_len(label: str, got: int, want: int) -> None:
@@ -264,7 +264,7 @@ def todd_genus(X: Threefold) -> Fraction:
 def threefold_to_json(X: Threefold) -> dict:
     """Serialize to the documented JSON form, rationals as "p/q" strings."""
     doc: dict = {
-        "schema": "1",
+        "schema": SCHEMA_VERSION,
         "generators": list(X.generator_names),
         "T": [[[str(x) for x in row] for row in plane] for plane in X.T],
         "c1X": [str(c) for c in X.c1X.coords],

@@ -34,7 +34,10 @@ class CIPreset:
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", tuple(self.degrees))
+        try:
+            object.__setattr__(self, "degrees", tuple(self.degrees))
+        except TypeError:
+            raise InvalidInput(f"degrees: expected a sequence of integers, got {self.degrees!r}") from None
         require_ints("ambient", self.ambient)
         require_ints("degrees", *self.degrees)
         if self.ambient < 3:
@@ -47,12 +50,10 @@ class CIPreset:
                 f"{self.ambient - len(self.degrees)}-fold, not a threefold"
             )
         if 1 in self.degrees:
-            reduced = tuple(d for d in self.degrees if d != 1)
-            dropped = len(self.degrees) - len(reduced)
-            reduced_name = f"[{','.join(str(d) for d in reduced)}] in P{self.ambient - dropped}"
+            reduced = CIPreset(self.ambient - self.degrees.count(1), tuple(d for d in self.degrees if d != 1))
             warnings.warn(
                 "degree-1 hypersurfaces re-embed the same variety; the "
-                f"equivalent reduced preset is {reduced_name!r}",
+                f"equivalent reduced preset is {format_preset(reduced)!r}",
                 RedundantDegreeWarning,
                 stacklevel=3,
             )

@@ -73,7 +73,7 @@ from .moduli import (
     serre_c3,
     serre_genus,
 )
-from .rationals import RAT_PATTERN, rat
+from .rationals import RAT_PATTERN, SCHEMA_VERSION, rat
 from .sheaf import (
     chern_from_json,
     chern_to_json,
@@ -86,7 +86,7 @@ from .sheaf import (
 )
 from .splitting import MAX_RANK, MAX_TRIALS, verify_tensor_formulas
 
-SCHEMA_VERSION = "1"
+_DZERO_RANGE = (-50, 50)  # the default k and c ranges of a dzero search
 
 _RAT = {"type": ["integer", "string"], "pattern": RAT_PATTERN}
 _RAT_VEC = {"type": "array", "items": _RAT, "minItems": 1}
@@ -245,8 +245,8 @@ def _handle_dzero(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
         claims = verify_paper_claims()
         return {"verify_paper": True, "claims": _claims_json(claims), "ok": True}, []
     X, label = _resolve_threefold(payload)
-    k_range = tuple(payload.get("k_range", (-50, 50)))
-    c_range = tuple(payload.get("c_range", (-50, 50)))
+    k_range = tuple(payload.get("k_range", _DZERO_RANGE))
+    c_range = tuple(payload.get("c_range", _DZERO_RANGE))
     report = solve_dzero(DZeroProblem(X, k_range, c_range))
     return {"threefold": label, **{f.name: getattr(report, f.name) for f in fields(report)}}, []
 
@@ -424,8 +424,8 @@ COMMANDS: dict[str, Command] = {
     )),
     "dzero": Command("expected-dimension-zero search", _handle_dzero, (
         *_TARGET,
-        Flag("--k", "k_range", _RANGE, _parse_range, help="twist range lo..hi, default -50..50"),
-        Flag("--c", "c_range", _RANGE, _parse_range, help="curve range lo..hi, default -50..50"),
+        Flag("--k", "k_range", _RANGE, _parse_range, help="twist range lo..hi, default %d..%d" % _DZERO_RANGE),
+        Flag("--c", "c_range", _RANGE, _parse_range, help="curve range lo..hi, default %d..%d" % _DZERO_RANGE),
         Flag("--verify-paper", "verify_paper", {"const": True}, const=True),
     ), (
         ("dzero: --verify-paper takes no --preset, --threefold, --k or --c", {

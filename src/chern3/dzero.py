@@ -87,7 +87,11 @@ class DZeroProblem:
     def __post_init__(self) -> None:
         _require_line_lattice(self.threefold)
         for name in ("k_range", "c_range"):
-            lo, hi = getattr(self, name)
+            value = getattr(self, name)
+            try:
+                lo, hi = value
+            except (TypeError, ValueError):
+                raise InvalidInput(f"{name}: expected a pair of integers, got {value!r}") from None
             require_ints(name, lo, hi)
             if lo > hi:
                 raise InvalidInput(f"{name} [{lo}, {hi}] is empty")

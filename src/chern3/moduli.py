@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chow import CurveClass, DivClass, Threefold, pair_div_curve
+from .chow import CurveClass, DivClass, Threefold, pair_div_curve, todd_genus
 from .errors import (
     InsufficientLedger,
     IntegralityWarning,
@@ -33,9 +33,8 @@ def ext_euler(X: Threefold, F: ChernData) -> Fraction:
     Equals r^2 c1(X).c2(X)/24 - c1(X).Delta(F)/2, which depends on F only
     through its discriminant and is therefore twist invariant.
     """
-    toddish = pair_div_curve(X, X.c1X, X.c2X)
     delta = pair_div_curve(X, X.c1X, discriminant(X, F))
-    return Fraction(F.rank**2) * toddish / 24 - delta / 2
+    return F.rank**2 * todd_genus(X) - delta / 2
 
 
 def expected_dim(X: Threefold, F: ChernData) -> Fraction:
@@ -67,18 +66,12 @@ def serre_c3(X: Threefold, detF: DivClass, c2F: CurveClass, genus: Fraction | in
 
 
 def serre_genus(X: Threefold, detF: DivClass, c2F: CurveClass, c3: Fraction | int | str) -> Fraction:
-    """Arithmetic genus solving ``serre_c3`` for the given c3.
+    """Arithmetic genus for the given c3: inverts ``serre_c3``, affine in g with slope 2.
 
     Warns (never errors) when the result is not a nonnegative integer; the
     formula stays meaningful for arbitrary numerical input.
     """
-    value = rat(c3)
-    g = (
-        value
-        + 2
-        - pair_div_curve(X, X.c1X, c2F)
-        + pair_div_curve(X, detF, c2F)
-    ) / 2
+    g = (rat(c3) - serre_c3(X, detF, c2F, 0)) / 2
     if g.denominator != 1 or g < 0:
         warnings.warn(
             f"genus {g} is not a nonnegative integer; the input does "

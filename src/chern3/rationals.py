@@ -16,6 +16,9 @@ from typing import Iterable
 
 from .errors import InvalidInput
 
+# The version of the wire documents: requests, reports and threefolds.
+SCHEMA_VERSION = "1"
+
 # The wire form of a rational, as a JSON-schema ``pattern``: "n" or "p/q".
 # Python's "$" also matches before a final newline, where ECMA-262's does
 # not; "(?!\n)" makes both dialects, and jsonschema's ``re.search``, reject

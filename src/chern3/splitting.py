@@ -14,7 +14,8 @@ E's roots a partition padded with zeros, F's roots another, of total size
 at most 3.  That is at most 18 integer points per pair (``_proved``).
 The same identity is then evaluated at 36 fixed small-integer root patterns
 and at seeded random integer points: replayable samples that show a wrong
-formula as concrete numbers.  An integer point x decides its whole ray of
+formula as concrete numbers: ``_counterexample`` reports the values it
+compared, as Fractions.  An integer point x decides its whole ray of
 rational points: both sides of c_i are homogeneous of degree i, so at t x
 each is t^i times its value at x.  Each random root is uniform on the 2^20
 integers in [-2^19, 2^19), so a wrong form whose difference is a nonzero
@@ -204,13 +205,18 @@ def _random_points(rng: random.Random, n_roots: int, trials: int) -> Iterator[Se
         yield [rng.getrandbits(20) - 2**19 for _ in range(n_roots)]
 
 
-def _agrees(form: ClosedForm, r1: int, r2: int, rootsE: Sequence[Scalar], rootsF: Sequence[Scalar]) -> bool:
-    """Whether both routes give the same classes for these roots."""
+def _counterexample(
+    form: ClosedForm, r1: int, r2: int, rootsE: Sequence[Scalar], rootsF: Sequence[Scalar]
+) -> Counterexample | None:
+    """Compare both routes once at these roots; report a disagreement with the values compared."""
     cE = ScalarChern(*_elementary_symmetric(rootsE))
     cF = ScalarChern(*_elementary_symmetric(rootsF))
     predicted = form(r1, r2, cE, cF)
-    summed = [a + b for a in rootsE for b in rootsF]
-    return (predicted.c1, predicted.c2, predicted.c3) == _elementary_symmetric(summed)
+    compared = (predicted.c1, predicted.c2, predicted.c3)
+    actual = _elementary_symmetric([a + b for a in rootsE for b in rootsF])
+    if compared == actual:
+        return None
+    return Counterexample(RootSpec(rootsE, rootsF), ScalarChern(*rats(compared)), ScalarChern(*rats(actual)))
 
 
 def _orbit_points(rank: int) -> list[tuple[int, ...]]:
@@ -232,26 +238,11 @@ def _proved(form: ClosedForm, r1: int, r2: int) -> bool:
     """
     pointsF = _orbit_points(r2)
     return all(
-        _agrees(form, r1, r2, rootsE, rootsF)
+        _counterexample(form, r1, r2, rootsE, rootsF) is None
         for rootsE in _orbit_points(r1)
         for rootsF in pointsF
         if sum(rootsE) + sum(rootsF) <= 3
     )
-
-
-def _counterexample(form: ClosedForm, r1: int, r2: int, roots: Sequence[int]) -> Counterexample | None:
-    """Check a sample point on its integer roots; report a disagreement there.
-
-    The integers decide the point's whole ray (see the module docstring), so
-    the report is built at the same point through the public path.
-    """
-    if _agrees(form, r1, r2, roots[:r1], roots[r1:]):
-        return None
-    spec = RootSpec(roots[:r1], roots[r1:])
-    predicted = form(r1, r2, chern_from_roots(spec.rootsE), chern_from_roots(spec.rootsF))
-    actual = tensor_from_roots(spec)
-    # A form may return int classes; the report carries Fractions either way.
-    return Counterexample(spec, ScalarChern(*rats((predicted.c1, predicted.c2, predicted.c3))), actual)
 
 
 def verify_tensor_formulas(
@@ -289,7 +280,7 @@ def verify_tensor_formulas(
             checked, counterexample = 0, None
             for point in chain(_grid_points(r1, r2), _random_points(rng, r1 + r2, trials)):
                 checked += 1
-                counterexample = _counterexample(form, r1, r2, point)
+                counterexample = _counterexample(form, r1, r2, point[:r1], point[r1:])
                 if counterexample is not None:
                     break
             passed = proved and counterexample is None

@@ -168,6 +168,8 @@ def test_preset_validation():
                                   (4.0, (2,), "float 4.0"), (True, (), "bool True")):
         with pytest.raises(InvalidInput, match=f"expected an integer, got {got}$"):
             CIPreset(ambient, degrees)
+    with pytest.raises(InvalidInput, match=r"^degrees: expected a sequence of integers, got 2$"):
+        CIPreset(4, 2)
 
 
 def test_degree_one_warns_with_reduced_preset():

@@ -10,7 +10,7 @@ from unittest import mock
 
 import jsonschema
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from chern3 import cli, splitting
 from chern3.chow import CurveClass, DivClass, threefold_to_json
@@ -516,7 +516,8 @@ _responses = st.builds(
 )
 
 
-@settings(deadline=None)
+# No shrink phase: shrinking the large drawn responses of a failure took minutes.
+@settings(deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(_responses, st.integers(1, 4))
 # Rows of width 1 and 10: the longest name of a block ends in [0] and in [9].
 @example(Response("ok", "chi", {"x": [(1,)]}, ()), 1)

@@ -296,6 +296,11 @@ def test_problem_validation():
     X = model("[2] in P4")
     with pytest.raises(InvalidInput):
         DZeroProblem(X, (5, -5), (0, 0))
+    # A range of the wrong shape is named with its value, not a bare unpacking error.
+    with pytest.raises(InvalidInput, match=r"^k_range: expected a pair of integers, got \(1, 2, 3\)$"):
+        DZeroProblem(X, (1, 2, 3), (0, 1))
+    with pytest.raises(InvalidInput, match=r"^k_range: expected a pair of integers, got 5$"):
+        DZeroProblem(X, 5, (0, 1))
     rng = random.Random(3)
     Y = random_threefold(rng, m=2)
     with pytest.raises(UnsupportedPicardRank):

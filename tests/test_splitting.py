@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
@@ -111,14 +112,40 @@ def test_harness_detects_perturbed_closed_form():
     bad = [p for p in report.pairs if not p.passed]
     assert bad
     for pair in bad:
-        assert pair.counterexample is not None
-        assert pair.counterexample.closed_form != pair.counterexample.from_roots
+        cx = pair.counterexample
+        assert cx is not None
+        assert cx.closed_form != cx.from_roots
+        assert cx.from_roots == tensor_from_roots(cx.spec)
+        assert cx.closed_form == flipped(
+            pair.r1, pair.r2, chern_from_roots(cx.spec.rootsE), chern_from_roots(cx.spec.rootsF))
 
     # E = (1, 1) against F = (0,) is the first grid point where c2(E) != 0
     report = verify_tensor_formulas(max_rank=2, trials=20, seed=42, closed_form=flipped)
     (pair,) = [p for p in report.pairs if (p.r1, p.r2) == (2, 1)]
     assert pair.grid_checks == 7
     assert (pair.counterexample.spec.rootsE, pair.counterexample.spec.rootsF) == ((1, 1), (0,))
+
+
+def test_a_sampled_counterexample_reports_what_was_compared():
+    # Wrong only far out, where no proof or grid point goes: the first seeded sample refutes it.
+    def wrong_far_out(r1, r2, cE, cF):
+        good = tensor_closed_form(r1, r2, cE, cF)
+        return ScalarChern(good.c1, good.c2, good.c3 + 1) if abs(cE.c1) > 1000 else good
+
+    report = verify_tensor_formulas(max_rank=2, trials=5, seed=42, closed_form=wrong_far_out)
+    assert not report.ok and len(report.pairs) == 4
+    for pair in report.pairs:
+        r1, r2, cx = pair.r1, pair.r2, pair.counterexample
+        assert not pair.passed and pair.grid_checks == 36
+        assert _proved(wrong_far_out, r1, r2)
+        (first,) = _random_points(random.Random(42 * 10007 + r1 * 101 + r2), r1 + r2, 1)
+        assert cx.spec == RootSpec(first[:r1], first[r1:])
+        assert cx.from_roots == tensor_from_roots(cx.spec)
+        cE, cF = chern_from_roots(cx.spec.rootsE), chern_from_roots(cx.spec.rootsF)
+        assert cx.closed_form == wrong_far_out(r1, r2, cE, cF)
+        assert cx.closed_form != cx.from_roots
+        values = (*cx.spec.rootsE, *cx.spec.rootsF, *astuple(cx.closed_form), *astuple(cx.from_roots))
+        assert all(type(v) is Fraction for v in values)
 
 
 def test_verify_guards():
