@@ -3,6 +3,10 @@ projective threefolds: intersection theory on a numerical divisor lattice,
 Riemann-Roch Euler characteristics, discriminants, expected moduli
 dimensions, Serre-correspondence genus conversions, and certified searches
 for vanishing expected dimension over integer twist lattices.
+
+Records are ``typing.NamedTuple``s.  A class is a frozen dataclass only
+where its ``__post_init__`` validates or derives fields, or where
+``dataclasses.replace`` rebuilds it (``DZeroReport``).
 """
 
 from .chow import (

@@ -140,6 +140,9 @@ def make_threefold(
 ) -> Threefold:
     """Validate and build a Threefold from raw vectors and a dense form."""
     names = tuple(str(g) for g in generators)
+    for name in names:  # a lone surrogate, such as the byte 0xff in argv, cannot be written
+        if any("\ud800" <= ch <= "\udfff" for ch in name):
+            raise InvalidInput(f"generator name {name!r} is not UTF-8 text")
     m = len(names)
     if m < 1:
         raise DimensionMismatch("a threefold model needs at least one divisor generator")

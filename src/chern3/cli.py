@@ -37,7 +37,7 @@ import re
 import sys
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -113,15 +113,13 @@ _THREEFOLD_DOC = _object(
 )
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     command: str
     payload: dict
     output_mode: str = "table"
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(NamedTuple):
     status: str
     command: str
     data: dict
@@ -314,8 +312,7 @@ def _preset_fields(text: str) -> dict:
     return {"ambient": preset.ambient, "degrees": list(preset.degrees)}
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     """A CLI flag: the payload key it fills, its schema and its text parser.
 
     Integer flags are parsed by argparse.  A flag with ``const`` takes no
@@ -333,8 +330,7 @@ class Flag:
     help: str | None = None
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """A CLI command: help text, handler, flags and payload rules, each rule a
     JSON-schema fragment every payload satisfies and the CLI's message if not."""
 
@@ -789,9 +785,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.config:
+            if args.command:  # its flags would be dropped, not rejected
+                raise SchemaError("give --config or a command, not both")
             request = load_config(args.config)
             if args.json:
-                request = Request(request.command, request.payload, "json")
+                request = request._replace(output_mode="json")
         else:
             if not args.command:
                 parser.print_help()

@@ -98,8 +98,7 @@ class DZeroProblem:
             object.__setattr__(self, name, (lo, hi))
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     """Named impossibility certificate: no k satisfies the condition modulo ``modulus``."""
 
     kind: str
@@ -306,14 +305,12 @@ def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport
     )
 
 
-@dataclass(frozen=True)
-class PresetClaim:
+class PresetClaim(NamedTuple):
     preset: str
     report: DZeroReport
 
 
-@dataclass(frozen=True)
-class PaperClaimsReport:
+class PaperClaimsReport(NamedTuple):
     entries: tuple[PresetClaim, ...]
 
     @property

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyRoots, InvalidInput, LimitExceeded
 from .rationals import rat, rats, require_ints
@@ -150,15 +150,13 @@ def tensor_closed_form(r1: int, r2: int, cE: ScalarChern, cF: ScalarChern) -> Sc
 ClosedForm = Callable[[int, int, ScalarChern, ScalarChern], ScalarChern]
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     spec: RootSpec
     closed_form: ScalarChern
     from_roots: ScalarChern
 
 
-@dataclass(frozen=True)
-class RankPairResult:
+class RankPairResult(NamedTuple):
     r1: int
     r2: int
     passed: bool
@@ -166,8 +164,7 @@ class RankPairResult:
     counterexample: Counterexample | None
 
 
-@dataclass(frozen=True)
-class TensorFormulaReport:
+class TensorFormulaReport(NamedTuple):
     """``ok`` is true when every rank pair passed."""
 
     max_rank: int

@@ -1,14 +1,15 @@
 import dataclasses
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-import jsonschema
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
@@ -166,6 +167,8 @@ def test_schema_rejects_floats_and_bad_rationals():
 
 @pytest.mark.parametrize("text", ["1e3", " 0.5 ", "1.5", "+2", "01/02", "1/0", "", "1/-2"])
 def test_rat_rejects_strings_outside_the_wire_pattern(text):
+    import jsonschema
+
     with pytest.raises(InvalidInput, match="cannot parse rational"):
         rat(text)
     assert not jsonschema.Draft202012Validator(_RAT).is_valid(text)
@@ -174,12 +177,16 @@ def test_rat_rejects_strings_outside_the_wire_pattern(text):
 @pytest.mark.parametrize("value, want", [("7", 7), ("-3/4", Fraction(-3, 4)), ("6/4", Fraction(3, 2)),
                                          (5, 5), (Fraction(2, 3), Fraction(2, 3))])
 def test_rat_accepts_the_wire_pattern(value, want):
+    import jsonschema
+
     assert rat(value) == want
     if isinstance(value, str):
         assert jsonschema.Draft202012Validator(_RAT).is_valid(value)
 
 
 def test_a_trailing_newline_is_not_a_rational(capsys):
+    import jsonschema
+
     # Python's "$" matches before a final newline; rat and the schema must not
     with pytest.raises(InvalidInput, match="cannot parse rational"):
         rat("7\n")
@@ -218,6 +225,8 @@ def test_schema_requires_exactly_one_target():
 @pytest.mark.parametrize("schema", [*PAYLOAD_SCHEMAS.values(), REQUEST_SCHEMA],
                          ids=[*PAYLOAD_SCHEMAS, "request"])
 def test_schemas_pass_the_metaschema(schema):
+    import jsonschema
+
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
@@ -245,6 +254,8 @@ F_FLAG = json.dumps(SHEAF_DOC)
     ("dzero", {"preset": "[2] in P4", "k_range": [1, 2, 3]}),
 ])
 def test_validate_payload_reports_what_jsonschema_validate_raises(command, payload):
+    import jsonschema
+
     with pytest.raises(jsonschema.ValidationError) as expected:
         jsonschema.validate(payload, PAYLOAD_SCHEMAS[command])
     with pytest.raises(SchemaError) as got:
@@ -329,6 +340,8 @@ def test_load_config_round_trip(tmp_path):
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
+    import jsonschema
+
     path = tmp_path / "request.json"
     path.write_text(json.dumps({"command": "chi", "payload": {}, "extra": 1}))
     with pytest.raises(SchemaError, match="extra") as got:
@@ -460,13 +473,39 @@ def old_response_table(response):
     return "\n".join(lines)
 
 
+# Hypothesis prints a failing example's objects as the calls that made them,
+# and each nested call prints its arguments four times over.  So the drawn
+# values are plain recipes, a (class, *fields) tuple per object, made into
+# objects in one step, and the sizes are bounded: a failing example then
+# prints in linear time.  12 rows still reach a two-digit row index.
+def _make(cls, *fields):
+    return st.tuples(st.just(cls), *fields)
+
+
+def _build(value):
+    """``value`` with each recipe in it made into its object, innermost first."""
+    if type(value) is dict:
+        return {key: _build(item) for key, item in value.items()}
+    if type(value) not in (list, tuple):
+        return value
+    items = [_build(item) for item in value]
+    if type(value) is tuple and value and isinstance(value[0], type):
+        return items[0](*items[1:])
+    return items if type(value) is list else tuple(items)
+
+
 _ints = st.integers()
 _fractions = st.fractions()
-_scalars = st.none() | st.booleans() | _ints | _fractions | st.text()
+_text = st.text(max_size=12)
+_scalars = st.none() | st.booleans() | _ints | _fractions | _text
 
 
 def _rows(row):
-    return st.lists(row).flatmap(lambda rows: st.sampled_from([rows, tuple(rows)]))
+    return st.lists(row, max_size=12).flatmap(lambda rows: st.sampled_from([rows, tuple(rows)]))
+
+
+def _tuples(item, max_size):
+    return _make(tuple, st.lists(item, max_size=max_size))
 
 
 # Blocks at the edge of the int-row fast path: witness pairs, 3-int and
@@ -480,40 +519,40 @@ _int_rows = st.one_of(
     _rows(st.tuples(_ints) | st.tuples(_ints, _ints)),
     _rows(st.tuples(_ints, _ints) | st.lists(_ints, max_size=2) | _ints | st.just(())),
 )
-_vector = st.lists(_ints | _fractions, max_size=3).map(tuple)
-_classes = st.builds(DivClass, _vector) | st.builds(CurveClass, _vector)
-_sheaves = st.builds(ChernData, st.integers(1, 9), st.builds(DivClass, _vector), st.builds(CurveClass, _vector),
-                     _ints | _fractions)
-_roots = st.lists(st.fractions(-9, 9, max_denominator=9), min_size=1, max_size=3).map(tuple)
-_scalar_chern = st.builds(ScalarChern, _ints | _fractions, _ints | _fractions, _ints | _fractions)
-_counterexample = st.builds(Counterexample, st.builds(RootSpec, _roots, _roots), _scalar_chern, _scalar_chern)
+_vector = _tuples(_ints | _fractions, 3)
+_classes = _make(DivClass, _vector) | _make(CurveClass, _vector)
+_sheaves = _make(ChernData, st.integers(1, 9), _make(DivClass, _vector), _make(CurveClass, _vector),
+                 _ints | _fractions)
+_roots = _make(tuple, st.lists(st.fractions(-9, 9, max_denominator=9), min_size=1, max_size=3))
+_scalar_chern = _make(ScalarChern, _ints | _fractions, _ints | _fractions, _ints | _fractions)
+_counterexample = _make(Counterexample, _make(RootSpec, _roots, _roots), _scalar_chern, _scalar_chern)
 _reports = st.one_of(
-    st.builds(DZeroReport, st.builds(Condition, _fractions, _fractions, _fractions),
-              st.builds(Normalized, _ints, _ints, _ints), st.text(), st.booleans(),
-              st.none() | _ints, st.none() | st.lists(_ints).map(tuple),
-              st.none() | st.builds(Obstruction, st.text(), _ints, st.text()),
-              st.lists(st.tuples(_ints, _ints)).map(tuple), st.tuples(_ints, _ints),
-              st.tuples(_ints, _ints), st.booleans()),
-    st.builds(TensorFormulaReport, _ints, _ints, _ints, st.booleans(), st.lists(st.builds(
-        RankPairResult, _ints, _ints, st.booleans(), _ints, st.none() | _counterexample)).map(tuple)),
+    _make(DZeroReport, _make(Condition, _fractions, _fractions, _fractions),
+          _make(Normalized, _ints, _ints, _ints), _text, st.booleans(),
+          st.none() | _ints, st.none() | _tuples(_ints, 12),
+          st.none() | _make(Obstruction, _text, _ints, _text),
+          _tuples(st.tuples(_ints, _ints), 12), st.tuples(_ints, _ints),
+          st.tuples(_ints, _ints), st.booleans()),
+    _make(TensorFormulaReport, _ints, _ints, _ints, st.booleans(), _tuples(_make(
+        RankPairResult, _ints, _ints, st.booleans(), _ints, st.none() | _counterexample), 6)),
 )
 
 
 def _containers(children):
     return st.one_of(
         _rows(children),
-        st.dictionaries(st.text(), children, max_size=4),
-        st.builds(Normalized, children, children, children),
-        st.builds(Obstruction, children, children, children),
+        st.dictionaries(_text, children, max_size=4),
+        _make(Normalized, children, children, children),
+        _make(Obstruction, children, children, children),
     )
 
 
 _values = st.recursive(_scalars | _int_rows | _reports | _classes | _sheaves, _containers, max_leaves=12)
-_responses = st.builds(
+_responses = _make(
     Response, st.just("ok"), st.sampled_from(sorted(COMMANDS)),
-    st.dictionaries(st.text(), _values, max_size=5),
-    st.lists(st.tuples(st.text(min_size=1), st.text() | _ints | _fractions)).map(tuple),
-)
+    st.dictionaries(_text, _values, max_size=5),
+    _tuples(st.tuples(st.text(min_size=1, max_size=12), _text | _ints | _fractions), 12),
+).map(_build)
 
 
 # No shrink phase: shrinking the large drawn responses of a failure took minutes.
@@ -744,7 +783,7 @@ def test_the_walker_refuses_a_value_that_is_not_exact(data, audit):
 @pytest.mark.parametrize("mode", [[], ["--json"]])
 @pytest.mark.parametrize("result", [({"ext1": 0.5}, []), ({"ext1": 1}, [("ext1", 0.5)])], ids=["data", "audit"])
 def test_main_refuses_a_float_in_a_report(monkeypatch, capsys, tmp_path, mode, result):
-    ledger = dataclasses.replace(COMMANDS["ledger"], handler=lambda payload: result)
+    ledger = COMMANDS["ledger"]._replace(handler=lambda payload: result)
     monkeypatch.setitem(COMMANDS, "ledger", ledger)
     out = tmp_path / "report"
     out.write_text("an earlier report\n")
@@ -825,10 +864,79 @@ def test_seed_belongs_to_verify_only(capsys):
     (["threefold", "--ambient", "5", "--preset", "[2] in P4"], "give only one of --ambient, --preset"),
     (["chern", "dual", "--preset", "[2] in P4", "--f", '{"rank":1,"c1":[0],"c2":[0],"c3":0}', "--l", "1"],
      "and only twist, takes --l"),
+    (["--config", "CONFIG", "chi", "--preset", "[2] in P4", "--rank", "2", "--c1", "1", "--c2", "1"],
+     "give --config or a command, not both"),
 ])
-def test_flags_the_command_would_ignore_are_rejected(capsys, argv, message):
-    assert main(argv) == 2
-    assert message in capsys.readouterr().err
+def test_flags_the_command_would_ignore_are_rejected(tmp_path, capsys, argv, message):
+    config = tmp_path / "request.json"
+    config.write_text(json.dumps({"command": "ledger", "payload": {"h0_N": 2, "h0_F": 3, "h1_IC_zero": True}}))
+    assert main([str(config) if token == "CONFIG" else token for token in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+# Flag values: drawn text (no NUL, which OS argv cannot carry), edge cases,
+# and, half the time, text that the flag's parser reads, so that drawn argv
+# also reach the schemas and the handlers.  "\udcff" is the byte 0xff, as
+# Python reads it from argv.
+_DRAWN_TEXT = st.text(st.characters(exclude_characters="\x00"), max_size=10) | st.sampled_from(
+    ["", "-", "1/0", "1e3", "0..", "[]", "{}", '{"rank": 1}', "[0] in P4", "[2] in P99999", "1,,2", "\udcff"])
+_WELL_FORMED = {
+    "--ambient": ["4", "5"], "--degrees": ["2", "2,3", ""], "--preset": ["[2] in P4", "[5] in P4", "[2,3] in P5"],
+    "--f": [F_FLAG], "--e": [F_FLAG], "--k": ["-2..2", "3..1", "0..600"], "--c": ["-2..2", "0..0"],
+}
+_INTEGERS = ["1", "2", "0", "-1"]
+_RATIONALS = ["1", "0", "-1", "1/2", "1,0"]  # and vectors
+
+
+def _flag_value(flag):
+    if flag.name == "--threefold":  # the quadric, its generator named by drawn text
+        well_formed = _DRAWN_TEXT.map(lambda name: json.dumps({**QUADRIC_DOC, "generators": [name]}, ensure_ascii=False))
+    else:
+        numbers = _INTEGERS if flag.schema.get("type") == "integer" else _RATIONALS
+        well_formed = st.sampled_from(flag.schema.get("enum") or _WELL_FORMED.get(flag.name, numbers))
+    return st.one_of(_DRAWN_TEXT, well_formed, well_formed)
+
+
+@st.composite
+def _argv(draw):
+    """A command, its required flags and drawn others, in drawn order, each with a drawn value."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = COMMANDS[name].flags
+    drawn = [f for f in flags if f.required] + draw(st.lists(st.sampled_from(flags), max_size=4))
+    argv = [name]
+    for flag in draw(st.permutations(drawn)):
+        argv += [flag.name] if flag.name.startswith("-") else []
+        argv += [draw(_flag_value(flag))] if flag.const is None else []
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+def test_no_drawn_argv_ends_in_a_traceback(monkeypatch):
+    monkeypatch.setenv("CHERN3_MAX_ENUM", "500")  # every drawn dzero search stays cheap
+
+    @settings(max_examples=100, deadline=None)
+    @given(_argv())
+    def check(argv):
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()  # stdout as a UTF-8 terminal
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        out.flush()
+        assert code in (0, 1, 2), (code, err.getvalue())
+        assert "Traceback" not in out.buffer.getvalue().decode() + err.getvalue()
+
+    check()
+
+
+def test_a_generator_name_that_is_not_utf8_is_refused_before_writing(tmp_path, capsys):
+    doc = json.dumps({**QUADRIC_DOC, "generators": ["H\udcff"]}, ensure_ascii=False)  # the byte 0xff in argv
+    out = tmp_path / "report"
+    argv = ["moduli-dim", "--threefold", doc, "--rank", "2", "--c1", "1", "--c2", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "InvalidInput: generator name 'H\\udcff' is not UTF-8 text\n"
+    assert not out.exists()
 
 
 def test_threefold_degrees_must_be_integers(capsys):
