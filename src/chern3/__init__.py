@@ -4,9 +4,10 @@ Riemann-Roch Euler characteristics, discriminants, expected moduli
 dimensions, Serre-correspondence genus conversions, and certified searches
 for vanishing expected dimension over integer twist lattices.
 
-Records are ``typing.NamedTuple``s.  A class is a frozen dataclass only
-where its ``__post_init__`` validates or derives fields, or where
-``dataclasses.replace`` rebuilds it (``DZeroReport``).
+Records are ``typing.NamedTuple``s; ``ChernData`` and ``ScalarChern`` are
+named tuples whose ``__new__`` validates and coerces.  A class is a frozen
+dataclass only where its ``__post_init__`` validates or derives fields, or
+where ``dataclasses.replace`` rebuilds it (``DZeroReport``).
 """
 
 from .chow import (
@@ -33,6 +34,7 @@ from .ci import (
 from .dzero import (
     DZeroProblem,
     DZeroReport,
+    WitnessRectangle,
     dzero_condition,
     solve_dzero,
     verify_paper_claims,

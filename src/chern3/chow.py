@@ -45,7 +45,11 @@ class _ClassVector:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", rats(self.coords))
+        coords = self.coords
+        if type(coords) is not tuple:  # a string would be split into digits, "12" into (1, 2)
+            if isinstance(coords, (str, bytes, bytearray)) or not hasattr(coords, "__iter__"):
+                raise InvalidInput(f"{type(self).__name__}: expected a sequence of rationals, got {coords!r}")
+        object.__setattr__(self, "coords", rats(coords))
 
     @classmethod
     def zero(cls: type[V], m: int) -> V:
@@ -61,7 +65,7 @@ class _ClassVector:
             return value
         if isinstance(value, _ClassVector):
             raise InvalidInput(f"cannot use {type(value).__name__} as {cls.__name__}")
-        return cls(tuple(value))
+        return cls(value)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -70,14 +74,18 @@ class _ClassVector:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def __add__(self: V, other: V) -> V:
+    def _check_operand(self, other: _ClassVector) -> None:
         if type(other) is not type(self):
             raise InvalidInput(f"cannot add {type(other).__name__} to {type(self).__name__}")
         _check_len(type(self).__name__, len(other), len(self))
+
+    def __add__(self: V, other: V) -> V:
+        self._check_operand(other)
         return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self: V, other: V) -> V:
-        return self + (-other)
+        self._check_operand(other)
+        return type(self)(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self: V) -> V:
         return type(self)(tuple(-a for a in self.coords))
@@ -112,10 +120,11 @@ class Threefold:
     checked with a warning, not an error, since intermediate classes are
     genuinely fractional.
 
-    Two fields are derived in ``__post_init__`` and are not constructor
-    arguments: ``m``, the number of generators, and ``c1X_is_zero``, whether
-    c1(X) vanishes.  They take no part in ``==``, ``hash`` or ``repr``, and
-    ``dataclasses.replace`` recomputes them.
+    Three fields are derived in ``__post_init__`` and are not constructor
+    arguments: ``m``, the number of generators, ``c1X_is_zero``, whether
+    c1(X) vanishes, and ``chi_O``, the ``todd_genus`` chi(O_X).  They take no
+    part in ``==``, ``hash`` or ``repr``, and ``dataclasses.replace``
+    recomputes them.
     """
 
     generator_names: tuple[str, ...]
@@ -125,10 +134,12 @@ class Threefold:
     curve_lattice: tuple[CurveClass, ...] | None = None
     m: int = field(init=False, repr=False, compare=False)
     c1X_is_zero: bool = field(init=False, repr=False, compare=False)
+    chi_O: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", len(self.generator_names))
         object.__setattr__(self, "c1X_is_zero", self.c1X.is_zero)
+        object.__setattr__(self, "chi_O", todd_genus(self))
 
 
 def make_threefold(

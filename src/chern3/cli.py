@@ -40,7 +40,7 @@ from contextlib import nullcontext
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple
@@ -63,7 +63,7 @@ from .ci import (
     parse_preset,
     tangent_chern,
 )
-from .dzero import DZeroProblem, PaperClaimsReport, solve_dzero, verify_paper_claims
+from .dzero import DZeroProblem, PaperClaimsReport, WitnessRectangle, solve_dzero, verify_paper_claims
 from .errors import Chern3Error, SchemaError, SelfCheckFailed
 from .moduli import (
     CohomologyLedger,
@@ -524,7 +524,7 @@ class _IntRows(NamedTuple):
     """``rows``, tuples of ``width`` ints: ``name[i][j]`` in a table; in JSON ``name`` is their indent."""
 
     name: str
-    rows: tuple | list
+    rows: tuple | list | WitnessRectangle
     width: int
 
 
@@ -579,10 +579,14 @@ def _walk(value: Any, at: str, table: bool) -> Iterator[Any]:
     that ``value``'s last line starts with, and sorts keys as
     ``json.dumps(sort_keys=True)`` does.  For a table it yields a (name,
     text) row per scalar, ``at`` being the name of ``value``, in field
-    order.  In both modes a block of int rows is one ``_IntRows`` item.
+    order.  In both modes a block of int rows is one ``_IntRows`` item, and
+    so is a ``WitnessRectangle``, a block of width 2.
     """
     if isinstance(value, (DivClass, CurveClass)):
         value = value.coords
+    elif type(value) is WitnessRectangle:  # ints by construction: no row is scanned
+        yield _IntRows(at, value, 2)
+        return
     array = type(value) is list or type(value) is tuple
     if array:
         width = _int_row_width(value)
@@ -624,9 +628,9 @@ def _json_rows(block: _IntRows) -> Iterator[str]:
     inner = block.name + "  "
     row = "[" + ",".join([inner + "  %d"] * block.width) + inner + "]"
     glue = "," + inner
+    rows = iter(block.rows)
     for start in range(0, len(block.rows), _CHUNK_ROWS):
-        chunk = block.rows[start:start + _CHUNK_ROWS]
-        yield (glue if start else "[" + inner) + glue.join(map(row.__mod__, chunk))
+        yield (glue if start else "[" + inner) + glue.join(map(row.__mod__, islice(rows, _CHUNK_ROWS)))
     yield block.name + "]"
 
 
@@ -659,17 +663,19 @@ def _table_rows(block: _IntRows, width: int) -> Iterator[str]:
     Rows whose indices have d digits share one padding, so each run of
     them shares one format string.
     """
-    name = block.name.replace("{", "{{").replace("}", "}}")
+    name = block.name.replace("%", "%%")
+    rows = iter(block.rows)
     start, stop = 0, len(block.rows)
     while start < stop:
         digits = len(str(start))
         end = min(10**digits, stop)
         pad = [" " * (width - len(block.name) - digits - 4 - len(str(j))) for j in range(block.width)]
-        # "\n  name[{0}][j]<pad>  {j + 1}" per column: {0} is the row index.
-        row = "".join(f"\n  {name}[{{0}}][{j}]{pad[j]}  {{{j + 1}}}" for j in range(block.width))
+        # "\n  name[%d][j]<pad>  %d" per column, filled with the row index and the row's value j.
+        row = "".join(f"\n  {name}[%d][{j}]{pad[j]}  %d" for j in range(block.width))
         for first in range(start, end, _CHUNK_ROWS):
-            last = min(first + _CHUNK_ROWS, end)
-            yield "".join(map(row.format, range(first, last), *zip(*block.rows[first:last])))
+            index = range(first, min(first + _CHUNK_ROWS, end))
+            columns = zip(*islice(rows, len(index)))
+            yield "".join(map(row.__mod__, zip(*[x for column in columns for x in (index, column)])))
         start = end
 
 

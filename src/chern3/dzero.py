@@ -19,17 +19,19 @@ coefficient of c is a = 2tp, which vanishes only when t = 0.
 Reports carry either explicit congruence-class witnesses or a single-modulus
 impossibility certificate, and every verdict is double-checked by dumb
 exhaustive enumeration over the requested rectangle, because a certified
-claim should not depend on the clever path being right.
+claim should not depend on the clever path being right.  When A = 0 every
+point is a witness, and the report holds the rectangle itself as a
+``WitnessRectangle`` rather than one pair per point.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import starmap, zip_longest
-from operator import ne
+from itertools import compress, product, repeat
 from typing import Iterator, NamedTuple
 
 from .chow import CurveClass, DivClass, Threefold
@@ -122,6 +124,54 @@ class Normalized(NamedTuple):
     E: int
 
 
+class WitnessRectangle(Sequence):
+    """Every (k, c) of ``k_range`` x ``c_range`` in (k, c) order, built on demand.
+
+    The witnesses of an A = 0 search, where every point is one.  It equals,
+    and hashes like, the tuple of those pairs, and a slice of it is that
+    tuple's slice; ``in`` and ``len`` take constant time, and iteration,
+    which is how a report is written, makes each pair by ``itertools.product``.
+    """
+
+    __slots__ = ("ks", "cs")
+
+    def __init__(self, k_range: tuple[int, int], c_range: tuple[int, int]) -> None:
+        self.ks = range(k_range[0], k_range[1] + 1)
+        self.cs = range(c_range[0], c_range[1] + 1)
+        if not (self.ks and self.cs):  # as for DZeroProblem; the walker writes no empty block
+            raise InvalidInput(f"witness rectangle {k_range} x {c_range} is empty")
+
+    def __len__(self) -> int:
+        return len(self.ks) * len(self.cs)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return product(self.ks, self.cs)
+
+    def __getitem__(self, index: int | slice) -> tuple[int, int] | tuple[tuple[int, int], ...]:
+        flat = range(len(self))[index]  # IndexError and TypeError as for a tuple
+        if type(flat) is int:
+            q, r = divmod(flat, len(self.cs))
+            return self.ks[q], self.cs[r]
+        return tuple(map(self.__getitem__, flat))
+
+    def __contains__(self, pair: object) -> bool:
+        return isinstance(pair, tuple) and len(pair) == 2 and pair[0] in self.ks and pair[1] in self.cs
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is WitnessRectangle:
+            return (self.ks, self.cs) == (other.ks, other.cs)
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return (f"WitnessRectangle(k_range=({self.ks.start}, {self.ks.stop - 1}), "
+                f"c_range=({self.cs.start}, {self.cs.stop - 1}))")
+
+
 @dataclass(frozen=True)
 class DZeroReport:
     """Affine condition, solvability verdict, and in-range witnesses."""
@@ -133,7 +183,7 @@ class DZeroReport:
     modulus: int | None
     residues: tuple[int, ...] | None
     obstruction: Obstruction | None
-    witnesses: tuple[tuple[int, int], ...]
+    witnesses: tuple[tuple[int, int], ...] | WitnessRectangle
     k_range: tuple[int, int]
     c_range: tuple[int, int]
     grid_checked: bool
@@ -141,7 +191,7 @@ class DZeroReport:
 
 def _dim_at(X: Threefold, generator: CurveClass, k: int, c: int) -> Fraction:
     """expected_dim of the rank-2 data with c1 = k H, c2 = c l and c3 = 0."""
-    return expected_dim(X, ChernData(2, DivClass((k,)), generator * c, 0))
+    return expected_dim(X, ChernData(2, DivClass((k,)), generator * c, Fraction(0)))
 
 
 def dzero_condition(X: Threefold) -> Condition:
@@ -195,10 +245,10 @@ def _residues(B: int, E: int, q: int) -> list[int]:
     return [k for k in range(q) if (B * k * k + E) % q == 0]
 
 
-def _grid_zeros(
+def _grid_rows(
     a: Fraction, b: Fraction, e: Fraction, k_range: tuple[int, int], c_range: tuple[int, int]
-) -> Iterator[tuple[int, int]]:
-    """Every (k, c) of the rectangle with a c + b k^2 + e = 0, in (k, c) order.
+) -> Iterator[range | list[int]]:
+    """For each k of the rectangle, in order, the c with a c + b k^2 + e = 0.
 
     The independent dumb check behind every dzero verdict: it tests each
     point, on integers it gets by clearing the denominators of (a, b, e)
@@ -207,19 +257,26 @@ def _grid_zeros(
 
     The column of values a c is built once; in each row of k, ``list.count``
     compares every one of them with -(b k^2 + e), so every point is still
-    tested once per row, and ``list.index`` then finds each zero.  Memory is
-    one int per c of the range, at most the enumeration cap.
+    tested once per row.  A row whose count is its width is all zeros and
+    is the whole c range; otherwise ``list.index`` finds each zero.  Memory
+    is one int per c of the range, at most the enumeration cap.
     """
     scale = math.lcm(a.denominator, b.denominator, e.denominator)
     ia, ib, ie = (x.numerator * (scale // x.denominator) for x in (a, b, e))
     c_lo, c_hi = c_range
-    column = [ia * c for c in range(c_lo, c_hi + 1)]
+    whole = range(c_lo, c_hi + 1)
+    column = [ia * c for c in whole]
     for k in range(k_range[0], k_range[1] + 1):
         target = -(ib * k * k + ie)
-        j = -1
-        for _ in range(column.count(target)):
+        count = column.count(target)
+        if count == len(column):
+            yield whole
+            continue
+        zeros, j = [], -1
+        for _ in range(count):
             j = column.index(target, j + 1)
-            yield k, c_lo + j
+            zeros.append(c_lo + j)
+        yield zeros
 
 
 def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport:
@@ -256,12 +313,15 @@ def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport
         )
     modulus = A or 1
     residues = tuple(_residues(B, E, modulus))
-    witnesses: list[tuple[int, int]] = []
-    for k in range(k_lo, k_hi + 1):
-        value = B * k * k + E
-        if value % modulus == 0:
-            cs = (-value // A,) if A else range(c_lo, c_hi + 1)
-            witnesses += [(k, c) for c in cs if c_lo <= c <= c_hi]
+    # The solver's zeros in each row of k: the whole c range when A = 0, else at most one c.
+    ks, whole = range(k_lo, k_hi + 1), range(c_lo, c_hi + 1)
+    rows: list[range | list[int]] = []
+    for k in ks:
+        if not A:
+            rows.append(whole)
+        else:
+            c, rest = divmod(-(B * k * k + E), A)
+            rows.append([c] if rest == 0 and c in whole else [])
 
     obstruction = None
     if not residues:
@@ -276,19 +336,29 @@ def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport
             else f"no residue k (mod {q}) satisfies {B}k^2 + {E} = 0 (mod {q})",
         )
 
-    if any(starmap(ne, zip_longest(_grid_zeros(a, b, e, problem.k_range, problem.c_range), witnesses))):
-        raise SelfCheckFailed(
-            "dzero grid check", "exhaustive enumeration disagrees with the congruence solver"
-        )
+    for grid_row, row in zip(_grid_rows(a, b, e, problem.k_range, problem.c_range), rows):
+        if grid_row != row and list(grid_row) != list(row):  # a range and a list may hold the same c
+            raise SelfCheckFailed(
+                "dzero grid check", "exhaustive enumeration disagrees with the congruence solver"
+            )
 
-    # Every witness goes through expected_dim; its classes are built once per row and column.
+    # Every witness goes through expected_dim, in (k, c) order; its classes
+    # are built once per row and column, and compress stops at the first
+    # witness whose dimension is not 0.
     generator = _require_line_lattice(X)
-    c1 = {k: DivClass((k,)) for k in {k for k, _ in witnesses}}
-    c2 = {c: generator * c for c in {c for _, c in witnesses}}
+    curves = {c: generator * c for c in (whole if not A else {c for row in rows for c in row})}
     c3 = Fraction(0)
-    for k, c in witnesses:
-        if expected_dim(X, ChernData(2, c1[k], c2[c], c3)):
-            raise SelfCheckFailed("dzero witness check", f"witness ({k}, {c}) fails re-evaluation")
+    for k, row in zip(ks, rows):
+        if row:
+            c1 = DivClass((k,))
+            sheaves = map(ChernData, repeat(2), repeat(c1), map(curves.__getitem__, row), repeat(c3))
+            bad = next(compress(row, map(expected_dim, repeat(X), sheaves)), None)
+            if bad is not None:
+                raise SelfCheckFailed("dzero witness check", f"witness ({k}, {bad}) fails re-evaluation")
+    if A:
+        witnesses = tuple((k, c) for k, row in zip(ks, rows) for c in row)
+    else:
+        witnesses = WitnessRectangle(problem.k_range, problem.c_range)
 
     return DZeroReport(
         condition=condition,
@@ -298,7 +368,7 @@ def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport
         modulus=modulus if residues else None,
         residues=residues or None,
         obstruction=obstruction,
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         k_range=problem.k_range,
         c_range=problem.c_range,
         grid_checked=True,

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chow import CurveClass, DivClass, Threefold, pair_div_curve, todd_genus
+from .chow import CurveClass, DivClass, Threefold, pair_div_curve
 from .errors import (
     InsufficientLedger,
     IntegralityWarning,
@@ -31,10 +31,11 @@ def ext_euler(X: Threefold, F: ChernData) -> Fraction:
     """Alternating sum of Ext^i(F, F) dimensions for homological dimension 1.
 
     Equals r^2 c1(X).c2(X)/24 - c1(X).Delta(F)/2, which depends on F only
-    through its discriminant and is therefore twist invariant.
+    through its discriminant and is therefore twist invariant.  The first
+    term reads X.chi_O, the ``todd_genus`` of X derived once per threefold.
     """
     delta = pair_div_curve(X, X.c1X, discriminant(X, F))
-    return F.rank**2 * todd_genus(X) - delta / 2
+    return F.rank**2 * X.chi_O - delta / 2
 
 
 def expected_dim(X: Threefold, F: ChernData) -> Fraction:

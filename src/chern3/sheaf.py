@@ -21,30 +21,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .chow import CurveClass, DivClass, Threefold, _check_len, mul_div_div, pair_div_curve, triple
 from .errors import DegenerateLine, DimensionMismatch, InvalidInput, NonIntegralRank
 from .rationals import rat
 
 
-@dataclass(frozen=True)
-class ChernData:
-    """Rank and Chern classes (c1, c2, c3) of a coherent sheaf."""
-
+class _ChernFields(NamedTuple):
     rank: int
     c1: DivClass
     c2: CurveClass
     c3: Fraction
 
-    def __post_init__(self) -> None:
-        if type(self.rank) is not int or self.rank < 1:
-            raise InvalidInput(f"rank must be a positive integer, got {self.rank!r}")
-        if type(self.c1) is DivClass and type(self.c2) is CurveClass and type(self.c3) is Fraction:
-            return  # already coerced, as for the re-checked dzero witnesses
-        object.__setattr__(self, "c1", DivClass.of(self.c1))
-        object.__setattr__(self, "c2", CurveClass.of(self.c2))
-        object.__setattr__(self, "c3", rat(self.c3))
+
+class ChernData(_ChernFields):
+    """Rank and Chern classes (c1, c2, c3) of a coherent sheaf.
+
+    A named tuple built and checked in one step: the rank is an int >= 1,
+    and c1, c2 and c3 are coerced to ``DivClass``, ``CurveClass`` and
+    ``Fraction`` unless they are all of those types already.  ``_make`` and
+    ``_replace`` go through the same checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rank: int, c1: DivClass, c2: CurveClass, c3: Fraction) -> ChernData:
+        if type(rank) is not int or rank < 1:
+            raise InvalidInput(f"rank must be a positive integer, got {rank!r}")
+        if type(c1) is not DivClass or type(c2) is not CurveClass or type(c3) is not Fraction:
+            c1, c2, c3 = DivClass.of(c1), CurveClass.of(c2), rat(c3)
+        return tuple.__new__(cls, (rank, c1, c2, c3))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ChernData:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)

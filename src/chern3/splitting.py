@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 from math import comb
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyRoots, InvalidInput, LimitExceeded
 from .rationals import rat, rats, require_ints
@@ -44,23 +44,30 @@ Scalar = int | Fraction
 _SCALAR_TYPES = (int, Fraction)
 
 
-@dataclass(frozen=True)
-class ScalarChern:
-    """Chern classes specialized to numbers: ints or Fractions.
-
-    A "p/q" string from the API is parsed to a Fraction; ints and Fractions
-    are kept as they are, and floats and bools are rejected.
-    """
-
+class _ScalarFields(NamedTuple):
     c1: Scalar
     c2: Scalar
     c3: Scalar
 
-    def __post_init__(self) -> None:
-        for name in ("c1", "c2", "c3"):
-            value = getattr(self, name)
-            if type(value) not in _SCALAR_TYPES:
-                object.__setattr__(self, name, rat(value))
+
+class ScalarChern(_ScalarFields):
+    """Chern classes specialized to numbers: ints or Fractions.
+
+    A "p/q" string from the API is parsed to a Fraction; ints and Fractions
+    are kept as they are, and floats and bools are rejected.  A named tuple
+    built and checked in one step, ``_make`` and ``_replace`` included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, c1: Scalar, c2: Scalar, c3: Scalar) -> ScalarChern:
+        if type(c1) not in _SCALAR_TYPES or type(c2) not in _SCALAR_TYPES or type(c3) not in _SCALAR_TYPES:
+            c1, c2, c3 = (v if type(v) in _SCALAR_TYPES else rat(v) for v in (c1, c2, c3))
+        return tuple.__new__(cls, (c1, c2, c3))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ScalarChern:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,13 @@ def test_class_vectors_coerce_every_coordinate_and_scalar_to_a_fraction(values, 
         cls((*values, True))
     with pytest.raises(InvalidInput, match="got bool"):
         v * False
+    assert cls.of(values) == cls.of(v) == v
+    # A string is not split into digits, and a scalar is not a vector.
+    for bad in ("".join(map(str, range(1, len(values) + 2))), b"12", 5, Fraction(1, 2), None):
+        message = re.escape(f"{cls.__name__}: expected a sequence of rationals, got {bad!r}")
+        for build in (cls, cls.of):
+            with pytest.raises(InvalidInput, match=f"^{message}$"):
+                build(bad)
 
 
 def test_triple_permutation_invariance():
@@ -206,11 +214,13 @@ def test_derived_fields_follow_the_generators_and_c1X(quintic):
         for Y in (X, again, flipped):
             assert Y.m == len(Y.generator_names)
             assert Y.c1X_is_zero == Y.c1X.is_zero
+            assert Y.chi_O == todd_genus(Y)
         assert flipped.c1X_is_zero != X.c1X_is_zero
         assert again == X and hash(again) == hash(X) and threefold_to_json(again) == doc
         # The derived fields take no part in == or hash.
         object.__setattr__(again, "m", X.m + 1)
         object.__setattr__(again, "c1X_is_zero", not X.c1X_is_zero)
+        object.__setattr__(again, "chi_O", X.chi_O + 1)
         assert again == X and hash(again) == hash(X) and repr(again) == repr(X)
 
 

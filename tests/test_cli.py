@@ -31,7 +31,7 @@ from chern3.cli import (
     run,
     validate_payload,
 )
-from chern3.dzero import Condition, DZeroReport, Normalized, Obstruction
+from chern3.dzero import Condition, DZeroReport, Normalized, Obstruction, WitnessRectangle
 from chern3.errors import InvalidInput, SchemaError, SelfCheckFailed
 from chern3.rationals import MAX_DIGITS, rat
 from chern3.sheaf import ChernData, euler_char
@@ -423,7 +423,7 @@ def _wire(value):
     through."""
     if type(value) in (type(None), bool, int, str):
         return value
-    if type(value) in (tuple, list):
+    if type(value) in (tuple, list, WitnessRectangle):
         return [_wire(item) for item in value]
     if type(value) is dict:
         return {key: _wire(item) for key, item in value.items()}
@@ -519,6 +519,8 @@ _int_rows = st.one_of(
     _rows(st.tuples(_ints) | st.tuples(_ints, _ints)),
     _rows(st.tuples(_ints, _ints) | st.lists(_ints, max_size=2) | _ints | st.just(())),
 )
+# A nonempty range of at most four ints: a rectangle has at most 16 pairs.
+_short_ranges = _ints.flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, lo + 3)))
 _vector = _tuples(_ints | _fractions, 3)
 _classes = _make(DivClass, _vector) | _make(CurveClass, _vector)
 _sheaves = _make(ChernData, st.integers(1, 9), _make(DivClass, _vector), _make(CurveClass, _vector),
@@ -531,7 +533,8 @@ _reports = st.one_of(
           _make(Normalized, _ints, _ints, _ints), _text, st.booleans(),
           st.none() | _ints, st.none() | _tuples(_ints, 12),
           st.none() | _make(Obstruction, _text, _ints, _text),
-          _tuples(st.tuples(_ints, _ints), 12), st.tuples(_ints, _ints),
+          _tuples(st.tuples(_ints, _ints), 12) | _make(WitnessRectangle, _short_ranges, _short_ranges),
+          st.tuples(_ints, _ints),
           st.tuples(_ints, _ints), st.booleans()),
     _make(TensorFormulaReport, _ints, _ints, _ints, st.booleans(), _tuples(_make(
         RankPairResult, _ints, _ints, st.booleans(), _ints, st.none() | _counterexample), 6)),

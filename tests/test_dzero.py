@@ -13,9 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 from chern3 import dzero
 from chern3.chow import DivClass, make_threefold, pair_div_curve
 from chern3.ci import build_ci, parse_preset
-from chern3.cli import main
+from chern3.cli import Response, main, response_json, response_table
 from chern3.dzero import (
     DZeroProblem,
+    WitnessRectangle,
     dzero_condition,
     relation_str,
     solve_dzero,
@@ -199,6 +200,55 @@ def test_solver_equals_brute_force_with_the_least_certificate(X, k_lo, k_len, c_
         assert q == min(d for d in range(2, A + 1) if A % d == 0 and not has_residue(B, E, d))
 
 
+_CALABI_YAU = ("[5] in P4", "[3,3] in P5", "[2,4] in P5", "[2,2,3] in P6", "[2,2,2,2] in P7")
+_FANO = ("[2] in P4", "[3] in P4", "[2,3] in P5", "[] in P3")
+_slice_ends = st.none() | st.integers(-40, 40)
+_slices = st.builds(slice, _slice_ends, _slice_ends, st.none() | st.integers(-3, 3).filter(bool))
+
+
+def ranges(lo_min, lo_max, max_length):
+    return st.integers(lo_min, lo_max).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, lo + max_length)))
+
+
+def rendered(report):
+    data = {"threefold": "X", **{f.name: getattr(report, f.name) for f in dataclasses.fields(report)}}
+    response = Response("ok", "dzero", data, ())
+    return response_json(response), response_table(response)
+
+
+@settings(max_examples=60, deadline=None)
+@example("[5] in P4", (-3, 3), (-2, 2), slice(None, None, -1))
+@given(st.sampled_from(_CALABI_YAU + _FANO) | line_threefolds(), ranges(-4, 2, 4), ranges(-6, 6, 6), _slices)
+def test_a_witness_rectangle_is_the_tuple_it_stands_for(X, k_range, c_range, cut):
+    X = model(X) if type(X) is str else X
+    report = solve_dzero(DZeroProblem(X, k_range, c_range))
+    witnesses = report.witnesses
+    assert list(witnesses) == brute_force_witnesses(X, k_range, c_range)
+    pairs = tuple(witnesses)
+    plain = dataclasses.replace(report, witnesses=pairs)
+    assert rendered(report) == rendered(plain)
+    assert report == plain and hash(report) == hash(plain)
+    if report.normalized.A:
+        assert type(witnesses) is tuple
+        return
+    assert type(witnesses) is WitnessRectangle and X.c1X.is_zero
+    n = len(pairs)
+    assert len(witnesses) == n == (k_range[1] - k_range[0] + 1) * (c_range[1] - c_range[0] + 1)
+    assert [witnesses[i] for i in range(-n, n)] == [pairs[i] for i in range(-n, n)]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            witnesses[i]
+    assert witnesses[cut] == pairs[cut] and type(witnesses[cut]) is tuple
+    assert witnesses == pairs and pairs == witnesses and not witnesses != pairs and not pairs != witnesses
+    assert witnesses == WitnessRectangle(k_range, c_range) and hash(witnesses) == hash(pairs)
+    for other in (pairs[:-1], pairs + pairs[:1], pairs[::-1] if n > 1 else ((0, 0.5),), list(pairs), None):
+        assert witnesses != other and not witnesses == other and (pairs == other) == (witnesses == other)
+    (k_lo, k_hi), (c_lo, c_hi) = k_range, c_range
+    outside = ((k_lo - 1, c_lo), (k_hi, c_hi + 1), [k_lo, c_lo], (k_lo,), (k_lo, c_lo, 0), (k_lo, c_lo + 0.5))
+    for probe in pairs + outside:
+        assert (probe in witnesses) == (probe in pairs)
+
+
 def test_a_vanishing_c_coefficient_with_a_nonzero_condition_is_a_build_bug(monkeypatch, capsys):
     # The module's lemma rules out A = 0 with (B, E) != 0; reaching it is a fault.
     monkeypatch.setattr(dzero, "_normalize", lambda a, b, e: dzero.Normalized(0, -1, 1))
@@ -350,6 +400,14 @@ def test_enumeration_cap_must_be_a_positive_integer(monkeypatch, raw):
         solve_dzero(DZeroProblem(model("[2] in P4"), (0, 0), (0, 0)))
 
 
+def grid_pairs(a, b, e, k_range, c_range):
+    """_grid_rows flattened into its (k, c) zeros, one row per k of the range."""
+    ks = range(k_range[0], k_range[1] + 1)
+    rows = list(dzero._grid_rows(a, b, e, k_range, c_range))
+    assert len(rows) == len(ks)
+    return [(k, c) for k, row in zip(ks, rows) for c in row]
+
+
 def grid_model(name):
     if name != "custom":
         return model(name)
@@ -368,7 +426,7 @@ def test_integer_grid_equals_fraction_grid(name):
         for c in range(c_range[0], c_range[1] + 1)
         if a * c + b * k * k + e == 0
     ]
-    assert list(dzero._grid_zeros(a, b, e, k_range, c_range)) == fraction_grid
+    assert grid_pairs(a, b, e, k_range, c_range) == fraction_grid
     if name == "custom":
         assert all(x.denominator > 1 for x in (a, b, e)) and fraction_grid
 
@@ -402,7 +460,7 @@ def test_grid_zeros_equal_the_fraction_grid_on_drawn_conditions(case):
         for c in range(c_range[0], c_range[1] + 1)
         if a * c + b * k * k + e == 0
     ]
-    assert list(dzero._grid_zeros(a, b, e, k_range, c_range)) == fraction_grid
+    assert grid_pairs(a, b, e, k_range, c_range) == fraction_grid
 
 
 def test_grid_check_does_not_read_the_normalized_relation(monkeypatch, capsys):
@@ -420,6 +478,20 @@ def test_grid_check_does_not_read_the_normalized_relation(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("SelfCheckFailed: dzero grid check: ")
     assert "Traceback" not in err
+
+
+def test_the_grid_check_compares_the_zeros_within_each_row(monkeypatch):
+    # A shift of E by A keeps every residue, so the solver finds a zero in
+    # the same rows of k as the grid, one column off: 2c = k^2 - 1, not + 1.
+    normalize = dzero._normalize
+
+    def shifted(a, b, e):
+        A, B, E = normalize(a, b, e)
+        return dzero.Normalized(A, B, E + A)
+
+    monkeypatch.setattr(dzero, "_normalize", shifted)
+    with pytest.raises(SelfCheckFailed, match="^dzero grid check: "):
+        solve_dzero(DZeroProblem(model("[2] in P4"), (-5, 5), (-5, 5)))
 
 
 def test_overridden_lattice_generator():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chern3.chow import (
     CurveClass,
@@ -446,7 +447,87 @@ def test_chern_data_rank_must_be_a_positive_integer(rank):
     # exact c3: each class is still checked, not only when all three types fit
     (lambda: ChernData(2, DivClass((1,)), DivClass((1,)), Fraction(0)), "cannot use DivClass as CurveClass"),
     (lambda: ChernData(2, CurveClass((1,)), CurveClass((1,)), Fraction(0)), "cannot use CurveClass as DivClass"),
+    # a string is not split into digits, nor is a scalar a class
+    (lambda: ChernData(2, "12", "34", 0), "^DivClass: expected a sequence of rationals, got '12'$"),
+    (lambda: ChernData(2, (1,), "34", 0), "^CurveClass: expected a sequence of rationals, got '34'$"),
+    (lambda: ChernData(2, 5, (1,), 0), "^DivClass: expected a sequence of rationals, got 5$"),
+    (lambda: CharacterData(2, (1,), b"3", 0), r"^CurveClass: expected a sequence of rationals, got b'3'$"),
 ])
 def test_a_class_of_the_other_codimension_is_named(build, message):
     with pytest.raises(InvalidInput, match=message):
         build()
+
+
+# Each drawn input is a pair (raw, typed): ``typed`` is what a constructor
+# coerces ``raw`` to, or None when ``raw`` must be refused with InvalidInput.
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
+_good_rationals = st.one_of(
+    st.integers(-50, 50).map(lambda n: (n, Fraction(n))),
+    _rationals.map(lambda q: (q, q)),
+    _rationals.map(lambda q: (f"{q.numerator}/{q.denominator}", q)),
+)
+_bad_rationals = st.sampled_from([1.5, 2.0, True, False, "1.5", "x", "1/0", None]).map(lambda v: (v, None))
+_ranks = st.one_of(
+    st.integers(1, 9).map(lambda r: (r, r)),
+    st.sampled_from([0, -1, -7, True, False, 2.0, 1.5, "2", Fraction(2)]).map(lambda v: (v, None)),
+)
+
+
+def _vectors(cls, other):
+    coords = st.lists(_good_rationals, min_size=1, max_size=3)
+    good = st.one_of(
+        coords.map(lambda pairs: ([raw for raw, _ in pairs], cls(tuple(q for _, q in pairs)))),
+        coords.map(lambda pairs: (tuple(raw for raw, _ in pairs), cls(tuple(q for _, q in pairs)))),
+        coords.map(lambda pairs: (cls(tuple(q for _, q in pairs)),) * 2),
+    )
+    bad = st.one_of(
+        st.tuples(_good_rationals, _bad_rationals).map(lambda pair: ([pair[0][0], pair[1][0]], None)),
+        st.sampled_from(["12", "1/2", b"12", 5, Fraction(1, 2), None, other((1,))]).map(lambda v: (v, None)),
+    )
+    return good | bad
+
+
+_FIELDS = ("rank", "c1", "c2", "c3")
+_BASE = ChernData(1, DivClass((0,)), CurveClass((0,)), Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ranks, _vectors(DivClass, CurveClass), _vectors(CurveClass, DivClass), _good_rationals | _bad_rationals,
+       st.sampled_from(["ChernData", "_make", "_replace"]), st.sets(st.sampled_from(_FIELDS), min_size=1))
+def test_every_way_of_making_chern_data_checks_and_coerces(rank, c1, c2, c3, how, replaced):
+    raw = dict(zip(_FIELDS, (rank[0], c1[0], c2[0], c3[0])))
+    typed = dict(zip(_FIELDS, (rank[1], c1[1], c2[1], c3[1])))
+    if how == "_replace":  # the fields not replaced keep the base's values
+        raw = {name: raw[name] for name in replaced}
+        typed = {**_BASE._asdict(), **{name: typed[name] for name in replaced}}
+    build = {"ChernData": lambda: ChernData(*raw.values()), "_make": lambda: ChernData._make(raw.values()),
+             "_replace": lambda: _BASE._replace(**raw)}[how]
+    if any(value is None for value in typed.values()):
+        with pytest.raises(InvalidInput):
+            build()
+        return
+    F = build()
+    want = tuple(typed.values())
+    assert type(F) is ChernData and F == ChernData(*want) == want and hash(F) == hash(want)
+    assert (type(F.rank), type(F.c1), type(F.c2), type(F.c3)) == (int, DivClass, CurveClass, Fraction)
+    assert F._asdict() == typed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_good_rationals | _bad_rationals, min_size=3, max_size=3),
+       st.sampled_from(["ScalarChern", "_make", "_replace"]))
+def test_every_way_of_making_scalar_chern_checks_and_coerces(values, how):
+    raw = [v for v, _ in values]
+    build = {
+        "ScalarChern": lambda: ScalarChern(*raw),
+        "_make": lambda: ScalarChern._make(raw),
+        "_replace": lambda: ScalarChern(0, 0, 0)._replace(c1=raw[0], c2=raw[1], c3=raw[2]),
+    }[how]
+    if any(q is None for _, q in values):
+        with pytest.raises(InvalidInput):
+            build()
+        return
+    c = build()
+    assert type(c) is ScalarChern and c == tuple(q for _, q in values)
+    # An int stays an int and a Fraction a Fraction; a "p/q" string becomes a Fraction.
+    assert [type(x) for x in c] == [int if type(v) is int else Fraction for v in raw]

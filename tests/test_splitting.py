@@ -1,5 +1,4 @@
 import random
-from dataclasses import astuple
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
@@ -144,7 +143,7 @@ def test_a_sampled_counterexample_reports_what_was_compared():
         cE, cF = chern_from_roots(cx.spec.rootsE), chern_from_roots(cx.spec.rootsF)
         assert cx.closed_form == wrong_far_out(r1, r2, cE, cF)
         assert cx.closed_form != cx.from_roots
-        values = (*cx.spec.rootsE, *cx.spec.rootsF, *astuple(cx.closed_form), *astuple(cx.from_roots))
+        values = (*cx.spec.rootsE, *cx.spec.rootsF, *tuple(cx.closed_form), *tuple(cx.from_roots))
         assert all(type(v) is Fraction for v in values)
 
 
