@@ -4,10 +4,10 @@ Riemann-Roch Euler characteristics, discriminants, expected moduli
 dimensions, Serre-correspondence genus conversions, and certified searches
 for vanishing expected dimension over integer twist lattices.
 
-Records are ``typing.NamedTuple``s; ``ChernData`` and ``ScalarChern`` are
-named tuples whose ``__new__`` validates and coerces.  A class is a frozen
-dataclass only where its ``__post_init__`` validates or derives fields, or
-where ``dataclasses.replace`` rebuilds it (``DZeroReport``).
+Records are immutable named tuples.  A record that validates, coerces or
+derives values does so in ``__new__``, so ``_make`` and ``_replace`` check
+as its constructor does.  ``DivClass`` and ``CurveClass`` are immutable
+vectors but not tuples, so neither equals a tuple or the other.
 """
 
 from .chow import (

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence, TypeVar
 
@@ -34,22 +34,45 @@ def _check_len(label: str, got: int, want: int) -> None:
         raise DimensionMismatch(f"{label} has length {got}, expected {want}")
 
 
-@dataclass(frozen=True)
-class _ClassVector:
+class _Frozen:
+    """Refuses to set or delete an attribute: every value is fixed when the object is built."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class _ClassVector(_Frozen):
     """An exact rational vector indexed by the divisor generators.
 
     Shared by ``DivClass`` and ``CurveClass``; arithmetic keeps the operand
     type, and combining the two types is an error rather than a silent sum.
+    Equal only to a vector of the same type, so a ``DivClass`` never equals
+    a ``CurveClass`` with the same coordinates.
     """
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self) -> None:
-        coords = self.coords
+    def __init__(self, coords: Sequence[int | str | Fraction]) -> None:
         if type(coords) is not tuple:  # a string would be split into digits, "12" into (1, 2)
             if isinstance(coords, (str, bytes, bytearray)) or not hasattr(coords, "__iter__"):
                 raise InvalidInput(f"{type(self).__name__}: expected a sequence of rationals, got {coords!r}")
         object.__setattr__(self, "coords", rats(coords))
+
+    def __eq__(self, other: object) -> bool:
+        return self.coords == other.coords if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(coords={self.coords!r})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__, not setattr
+        return type(self), (self.coords,)
 
     @classmethod
     def zero(cls: type[V], m: int) -> V:
@@ -108,8 +131,7 @@ class CurveClass(_ClassVector):
     """Codimension-2 class: intersection numbers against the generators."""
 
 
-@dataclass(frozen=True)
-class Threefold:
+class Threefold(_Frozen, namedtuple("_Threefold", "generator_names T c1X c2X curve_lattice")):
     """Numerical model of a smooth projective threefold.
 
     ``T`` is the dense m*m*m trilinear intersection form on the divisor
@@ -120,26 +142,21 @@ class Threefold:
     checked with a warning, not an error, since intermediate classes are
     genuinely fractional.
 
-    Three fields are derived in ``__post_init__`` and are not constructor
+    Three values are derived when it is built and are not constructor
     arguments: ``m``, the number of generators, ``c1X_is_zero``, whether
-    c1(X) vanishes, and ``chi_O``, the ``todd_genus`` chi(O_X).  They take no
-    part in ``==``, ``hash`` or ``repr``, and ``dataclasses.replace``
-    recomputes them.
+    c1(X) vanishes, and ``chi_O``, the ``todd_genus`` chi(O_X).  They live
+    outside the tuple, so they take no part in ``==``, ``hash`` or ``repr``,
+    and ``_replace`` recomputes them.
     """
 
-    generator_names: tuple[str, ...]
-    T: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    c1X: DivClass
-    c2X: CurveClass
-    curve_lattice: tuple[CurveClass, ...] | None = None
-    m: int = field(init=False, repr=False, compare=False)
-    c1X_is_zero: bool = field(init=False, repr=False, compare=False)
-    chi_O: Fraction = field(init=False, repr=False, compare=False)
+    def __new__(cls, generator_names: tuple[str, ...], T: tuple, c1X: DivClass, c2X: CurveClass,
+                curve_lattice: tuple[CurveClass, ...] | None = None) -> Threefold:
+        self = tuple.__new__(cls, (generator_names, T, c1X, c2X, curve_lattice))
+        vars(self).update(m=len(generator_names), c1X_is_zero=c1X.is_zero)
+        vars(self)["chi_O"] = todd_genus(self)  # reads m
+        return self
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", len(self.generator_names))
-        object.__setattr__(self, "c1X_is_zero", self.c1X.is_zero)
-        object.__setattr__(self, "chi_O", todd_genus(self))
+    _make = classmethod(lambda cls, it: cls(*it))
 
 
 def make_threefold(

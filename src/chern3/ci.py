@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .chow import Threefold, make_threefold
@@ -26,37 +26,38 @@ from .errors import DimensionMismatch, InvalidInput, RedundantDegreeWarning
 from .rationals import require_ints
 
 
-@dataclass(frozen=True)
-class CIPreset:
+class CIPreset(namedtuple("_CIPreset", "ambient degrees")):
     """Complete intersection of the given degrees in P^ambient."""
 
-    ambient: int
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, ambient: int, degrees: tuple[int, ...]) -> CIPreset:
         try:
-            object.__setattr__(self, "degrees", tuple(self.degrees))
+            degrees = tuple(degrees)
         except TypeError:
-            raise InvalidInput(f"degrees: expected a sequence of integers, got {self.degrees!r}") from None
-        require_ints("ambient", self.ambient)
-        require_ints("degrees", *self.degrees)
-        if self.ambient < 3:
-            raise InvalidInput(f"ambient projective space P^{self.ambient} is too small")
-        if any(d < 1 for d in self.degrees):
+            raise InvalidInput(f"degrees: expected a sequence of integers, got {degrees!r}") from None
+        require_ints("ambient", ambient)
+        require_ints("degrees", *degrees)
+        if ambient < 3:
+            raise InvalidInput(f"ambient projective space P^{ambient} is too small")
+        if any(d < 1 for d in degrees):
             raise InvalidInput("hypersurface degrees must be positive")
-        if self.ambient - len(self.degrees) != 3:
+        if ambient - len(degrees) != 3:
             raise DimensionMismatch(
-                f"{len(self.degrees)} hypersurfaces in P^{self.ambient} cut a "
-                f"{self.ambient - len(self.degrees)}-fold, not a threefold"
+                f"{len(degrees)} hypersurfaces in P^{ambient} cut a "
+                f"{ambient - len(degrees)}-fold, not a threefold"
             )
-        if 1 in self.degrees:
-            reduced = CIPreset(self.ambient - self.degrees.count(1), tuple(d for d in self.degrees if d != 1))
+        if 1 in degrees:
+            reduced = CIPreset(ambient - degrees.count(1), tuple(d for d in degrees if d != 1))
             warnings.warn(
                 "degree-1 hypersurfaces re-embed the same variety; the "
                 f"equivalent reduced preset is {format_preset(reduced)!r}",
                 RedundantDegreeWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
+        return tuple.__new__(cls, (ambient, degrees))
+
+    _make = classmethod(lambda cls, it: cls(*it))
 
 
 class CanonicalType(Enum):

@@ -37,7 +37,6 @@ import re
 import sys
 import warnings
 from contextlib import nullcontext
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, islice
@@ -246,7 +245,7 @@ def _handle_dzero(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
     k_range = tuple(payload.get("k_range", _DZERO_RANGE))
     c_range = tuple(payload.get("c_range", _DZERO_RANGE))
     report = solve_dzero(DZeroProblem(X, k_range, c_range))
-    return {"threefold": label, **{f.name: getattr(report, f.name) for f in fields(report)}}, []
+    return {"threefold": label, **report._asdict()}, []
 
 
 def _handle_verify(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
@@ -544,14 +543,12 @@ def _int_row_width(rows: tuple | list) -> int:
 
 
 def _members(value: Any) -> list[tuple[str, Any]] | None:
-    """The (key, member) pairs of a dict, named tuple or dataclass, in
-    insertion or field order; None for a scalar."""
+    """The (key, member) pairs of a dict or named tuple, in insertion or
+    field order; None for a scalar."""
     if type(value) is dict:
         return list(value.items())
     if isinstance(value, tuple):
         return list(zip(value._fields, value))
-    if is_dataclass(value):
-        return [(f.name, getattr(value, f.name)) for f in fields(value)]
     return None
 
 
@@ -573,10 +570,10 @@ def _json_scalar(value: Any) -> str:
 def _walk(value: Any, at: str, table: bool) -> Iterator[Any]:
     """Render a report in one pass over its objects.
 
-    Dicts, named tuples and dataclasses are objects, lists, plain tuples
-    and class vectors arrays, and Fractions "p/q" strings.  For JSON
-    (``table`` false) it yields text, ``at`` being the newline and indent
-    that ``value``'s last line starts with, and sorts keys as
+    Dicts and named tuples are objects, lists, plain tuples and class
+    vectors arrays, and Fractions "p/q" strings.  For JSON (``table``
+    false) it yields text, ``at`` being the newline and indent that
+    ``value``'s last line starts with, and sorts keys as
     ``json.dumps(sort_keys=True)`` does.  For a table it yields a (name,
     text) row per scalar, ``at`` being the name of ``value``, in field
     order.  In both modes a block of int rows is one ``_IntRows`` item, and

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product, repeat
 from typing import Iterator, NamedTuple
@@ -50,6 +50,7 @@ from .sheaf import ChernData
 
 ENUM_CAP_ENV = "CHERN3_MAX_ENUM"
 _DEFAULT_ENUM_CAP = 10**6
+_RECHECK_COLUMNS = 4096  # values of c whose curve classes the witness re-check holds at once
 
 
 def _enum_cap() -> int:
@@ -78,18 +79,17 @@ def _require_line_lattice(X: Threefold) -> CurveClass:
     return generator
 
 
-@dataclass(frozen=True)
-class DZeroProblem:
+class DZeroProblem(namedtuple("_DZeroProblem", "threefold k_range c_range")):
     """Search rectangle for integer (k, c) with expected dimension zero."""
 
-    threefold: Threefold
-    k_range: tuple[int, int]
-    c_range: tuple[int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_line_lattice(self.threefold)
-        for name in ("k_range", "c_range"):
-            value = getattr(self, name)
+    def __new__(cls, threefold: Threefold, k_range: tuple[int, int], c_range: tuple[int, int]) -> DZeroProblem:
+        if not isinstance(threefold, Threefold):
+            raise InvalidInput(f"threefold: expected a Threefold, got {type(threefold).__name__}")
+        _require_line_lattice(threefold)
+        ranges = []
+        for name, value in (("k_range", k_range), ("c_range", c_range)):
             try:
                 lo, hi = value
             except (TypeError, ValueError):
@@ -97,7 +97,10 @@ class DZeroProblem:
             require_ints(name, lo, hi)
             if lo > hi:
                 raise InvalidInput(f"{name} [{lo}, {hi}] is empty")
-            object.__setattr__(self, name, (lo, hi))
+            ranges.append((lo, hi))
+        return tuple.__new__(cls, (threefold, *ranges))
+
+    _make = classmethod(lambda cls, it: cls(*it))
 
 
 class Obstruction(NamedTuple):
@@ -172,8 +175,7 @@ class WitnessRectangle(Sequence):
                 f"c_range=({self.cs.start}, {self.cs.stop - 1}))")
 
 
-@dataclass(frozen=True)
-class DZeroReport:
+class DZeroReport(NamedTuple):
     """Affine condition, solvability verdict, and in-range witnesses."""
 
     condition: Condition
@@ -342,19 +344,25 @@ def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport
                 "dzero grid check", "exhaustive enumeration disagrees with the congruence solver"
             )
 
-    # Every witness goes through expected_dim, in (k, c) order; its classes
-    # are built once per row and column, and compress stops at the first
-    # witness whose dimension is not 0.
+    # Every witness goes through expected_dim, block by block of at most
+    # _RECHECK_COLUMNS values of c, and in (k, c) order within a block.  A
+    # block's curve classes are built once and dropped with it, so a wide
+    # row holds no class per c; compress stops at the first witness whose
+    # dimension is not 0.
     generator = _require_line_lattice(X)
-    curves = {c: generator * c for c in (whole if not A else {c for row in rows for c in row})}
     c3 = Fraction(0)
-    for k, row in zip(ks, rows):
-        if row:
-            c1 = DivClass((k,))
-            sheaves = map(ChernData, repeat(2), repeat(c1), map(curves.__getitem__, row), repeat(c3))
-            bad = next(compress(row, map(expected_dim, repeat(X), sheaves)), None)
-            if bad is not None:
-                raise SelfCheckFailed("dzero witness check", f"witness ({k}, {bad}) fails re-evaluation")
+    for start in range(0, len(whole), _RECHECK_COLUMNS):
+        block = whole[start:start + _RECHECK_COLUMNS]
+        cuts = rows if block == whole else [
+            block if row is whole else [c for c in row if c in block] for row in rows]
+        curves = {c: generator * c for c in (block if not A else {c for cut in cuts for c in cut})}
+        for k, cut in zip(ks, cuts):
+            if cut:
+                c1 = DivClass((k,))
+                sheaves = map(ChernData, repeat(2), repeat(c1), map(curves.__getitem__, cut), repeat(c3))
+                bad = next(compress(cut, map(expected_dim, repeat(X), sheaves)), None)
+                if bad is not None:
+                    raise SelfCheckFailed("dzero witness check", f"witness ({k}, {bad}) fails re-evaluation")
     if A:
         witnesses = tuple((k, c) for k, row in zip(ks, rows) for c in row)
     else:

@@ -10,7 +10,7 @@ nothing here inspects a sheaf.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .chow import CurveClass, DivClass, Threefold, pair_div_curve
@@ -83,29 +83,30 @@ def serre_genus(X: Threefold, detF: DivClass, c2F: CurveClass, c3: Fraction | in
     return g
 
 
-@dataclass(frozen=True)
-class CohomologyLedger:
+class CohomologyLedger(namedtuple("_CohomologyLedger", "h0_N h0_F h0_IF h1_IC_zero")):
     """User-supplied cohomology dimensions for the section dimension count.
 
     ``h0_N`` is h0 of the normal bundle of the zero curve, ``h0_F`` is h0 of
     the sheaf, ``h0_IF`` is h0 of the twisted ideal sheaf I_C (x) F, and
-    ``h1_IC_zero`` asserts H1(X, I_C) = 0, which forces h0_IF = 1.
+    ``h1_IC_zero``, a bool, asserts H1(X, I_C) = 0, which forces h0_IF = 1.
     """
 
-    h0_N: int
-    h0_F: int
-    h0_IF: int | None = None
-    h1_IC_zero: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        counts = ("h0_N", "h0_F") + (() if self.h0_IF is None else ("h0_IF",))
-        for name in counts:
-            value = getattr(self, name)
+    def __new__(
+        cls, h0_N: int, h0_F: int, h0_IF: int | None = None, h1_IC_zero: bool = False
+    ) -> CohomologyLedger:
+        counts = (("h0_N", h0_N), ("h0_F", h0_F)) + (() if h0_IF is None else (("h0_IF", h0_IF),))
+        for name, value in counts:
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise InvalidInput(f"{name} must be a nonnegative integer, got {value!r}")
-        if self.h1_IC_zero and self.h0_IF is not None and self.h0_IF != 1:
-            raise InvalidInput("H1(I_C) = 0 forces h0(I_C (x) F) = 1, but ledger says "
-                               f"{self.h0_IF}")
+        if type(h1_IC_zero) is not bool:
+            raise InvalidInput(f"h1_IC_zero must be a bool, got {h1_IC_zero!r}")
+        if h1_IC_zero and h0_IF is not None and h0_IF != 1:
+            raise InvalidInput(f"H1(I_C) = 0 forces h0(I_C (x) F) = 1, but ledger says {h0_IF}")
+        return tuple.__new__(cls, (h0_N, h0_F, h0_IF, h1_IC_zero))
+
+    _make = classmethod(lambda cls, it: cls(*it))
 
 
 def ext1_ledger(ledger: CohomologyLedger) -> int:

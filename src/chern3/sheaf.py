@@ -19,23 +19,16 @@ sum x <= 3}, unisolvent for degree <= 3 (Chung and Yao, 1977).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .chow import CurveClass, DivClass, Threefold, _check_len, mul_div_div, pair_div_curve, triple
 from .errors import DegenerateLine, DimensionMismatch, InvalidInput, NonIntegralRank
 from .rationals import rat
 
 
-class _ChernFields(NamedTuple):
-    rank: int
-    c1: DivClass
-    c2: CurveClass
-    c3: Fraction
-
-
-class ChernData(_ChernFields):
+class ChernData(namedtuple("_ChernData", "rank c1 c2 c3")):
     """Rank and Chern classes (c1, c2, c3) of a coherent sheaf.
 
     A named tuple built and checked in one step: the rank is an int >= 1,
@@ -53,29 +46,26 @@ class ChernData(_ChernFields):
             c1, c2, c3 = DivClass.of(c1), CurveClass.of(c2), rat(c3)
         return tuple.__new__(cls, (rank, c1, c2, c3))
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> ChernData:
-        return cls(*iterable)
+    _make = classmethod(lambda cls, it: cls(*it))
 
 
-@dataclass(frozen=True)
-class CharacterData:
-    """Chern character: (ch0, ch1, ch2, ch3) with ch0 the rank."""
+class CharacterData(namedtuple("_CharacterData", "ch0 ch1 ch2 ch3")):
+    """Chern character: (ch0, ch1, ch2, ch3) with ch0 the rank.
 
-    ch0: Fraction
-    ch1: DivClass
-    ch2: CurveClass
-    ch3: Fraction
+    Built and checked in one step, as ``ChernData`` is: ch0 and ch3 are
+    coerced to ``Fraction``, ch1 and ch2 to ``DivClass`` and ``CurveClass``.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ch0", rat(self.ch0))
-        object.__setattr__(self, "ch1", DivClass.of(self.ch1))
-        object.__setattr__(self, "ch2", CurveClass.of(self.ch2))
-        object.__setattr__(self, "ch3", rat(self.ch3))
+    __slots__ = ()
+
+    def __new__(cls, ch0: Fraction, ch1: DivClass, ch2: CurveClass, ch3: Fraction) -> CharacterData:
+        return tuple.__new__(cls, (rat(ch0), DivClass.of(ch1), CurveClass.of(ch2), rat(ch3)))
+
+    _make = classmethod(lambda cls, it: cls(*it))
 
 
 def _check_on(X: Threefold, F: ChernData) -> None:
-    if len(F.c1.coords) != X.m or len(F.c2.coords) != X.m:
+    if not len(F.c1.coords) == len(F.c2.coords) == X.m:  # m once: on a Threefold it is an instance-dict read
         raise DimensionMismatch(
             f"sheaf data of length ({len(F.c1)}, {len(F.c2)}) does not live on a "
             f"threefold with {X.m} generators"

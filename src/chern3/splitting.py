@@ -26,11 +26,11 @@ most d/2^20 (Schwartz, J. ACM 27(4), 1980).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 from math import comb
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyRoots, InvalidInput, LimitExceeded
 from .rationals import rat, rats, require_ints
@@ -44,13 +44,7 @@ Scalar = int | Fraction
 _SCALAR_TYPES = (int, Fraction)
 
 
-class _ScalarFields(NamedTuple):
-    c1: Scalar
-    c2: Scalar
-    c3: Scalar
-
-
-class ScalarChern(_ScalarFields):
+class ScalarChern(namedtuple("_ScalarChern", "c1 c2 c3")):
     """Chern classes specialized to numbers: ints or Fractions.
 
     A "p/q" string from the API is parsed to a Fraction; ints and Fractions
@@ -65,26 +59,24 @@ class ScalarChern(_ScalarFields):
             c1, c2, c3 = (v if type(v) in _SCALAR_TYPES else rat(v) for v in (c1, c2, c3))
         return tuple.__new__(cls, (c1, c2, c3))
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> ScalarChern:
-        return cls(*iterable)
+    _make = classmethod(lambda cls, it: cls(*it))
 
 
-@dataclass(frozen=True)
-class RootSpec:
+class RootSpec(namedtuple("_RootSpec", "rootsE rootsF")):
     """Rational Chern roots for a pair of bundles of ranks |rootsE|, |rootsF|."""
 
-    rootsE: tuple[Fraction, ...]
-    rootsF: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rootsE", rats(self.rootsE))
-        object.__setattr__(self, "rootsF", rats(self.rootsF))
-        if not self.rootsE or not self.rootsF:
+    def __new__(cls, rootsE: Sequence[Scalar | str], rootsF: Sequence[Scalar | str]) -> RootSpec:
+        rootsE, rootsF = rats(rootsE), rats(rootsF)
+        if not rootsE or not rootsF:
             raise EmptyRoots("root lists must be nonempty")
-        for root in self.rootsE + self.rootsF:
+        for root in rootsE + rootsF:
             if abs(root.numerator) > _ROOT_BOUND or root.denominator > _ROOT_BOUND:
                 raise InvalidInput(f"root {root} exceeds the 10^6 size bound")
+        return tuple.__new__(cls, (rootsE, rootsF))
+
+    _make = classmethod(lambda cls, it: cls(*it))
 
 
 def _elementary_symmetric(roots: Sequence[Scalar]) -> tuple[Scalar, Scalar, Scalar]:

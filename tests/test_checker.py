@@ -149,7 +149,8 @@ def test_importing_the_cli_and_running_a_request_loads_no_jsonschema():
     code = ("import sys, chern3.cli\n"
             "rc = chern3.cli.main(['chi', '--preset', '[2] in P4', '--rank', '2', '--c1', '1', '--c2', '1'])\n"
             "assert rc == 0, rc\n"
-            "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n")
+            "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
+            "assert not {'dataclasses', 'inspect'} & set(sys.modules), 'dataclasses or inspect was imported'\n")
     src = str(Path(chern3.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -210,7 +209,7 @@ def test_derived_fields_follow_the_generators_and_c1X(quintic):
         assert repr(X) == (f"Threefold(generator_names={X.generator_names!r}, T={X.T!r}, c1X={X.c1X!r}, "
                            f"c2X={X.c2X!r}, curve_lattice={X.curve_lattice!r})")
         again = threefold_from_json(doc)
-        flipped = dataclasses.replace(X, c1X=DivClass((1,) * X.m) if X.c1X_is_zero else DivClass.zero(X.m))
+        flipped = X._replace(c1X=DivClass((1,) * X.m) if X.c1X_is_zero else DivClass.zero(X.m))
         for Y in (X, again, flipped):
             assert Y.m == len(Y.generator_names)
             assert Y.c1X_is_zero == Y.c1X.is_zero

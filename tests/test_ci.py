@@ -173,8 +173,9 @@ def test_preset_validation():
 
 
 def test_degree_one_warns_with_reduced_preset():
-    with pytest.warns(RedundantDegreeWarning, match=r"\[\] in P3"):
+    with pytest.warns(RedundantDegreeWarning, match=r"\[\] in P3") as caught:
         CIPreset(4, (1,))
+    assert caught[0].filename == __file__  # the warning names the caller's line
     with pytest.warns(RedundantDegreeWarning, match=r"\[2\] in P4"):
         CIPreset(5, (1, 2))
 

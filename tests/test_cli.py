@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import os
@@ -417,9 +416,9 @@ def test_json_output_is_idempotent():
 
 
 def _wire(value):
-    """Report objects as JSON data: dataclasses and named tuples become objects
-    in field order, other tuples and class vectors lists, and Fractions "p/q"
-    strings; dicts and lists, which ``Response.data`` held already, are copied
+    """Report objects as JSON data: named tuples become objects in field
+    order, other tuples and class vectors lists, and Fractions "p/q" strings;
+    dicts and lists, which ``Response.data`` held already, are copied
     through."""
     if type(value) in (type(None), bool, int, str):
         return value
@@ -431,9 +430,7 @@ def _wire(value):
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
     if isinstance(value, (DivClass, CurveClass)):
         return _wire(value.coords)
-    if isinstance(value, tuple):
-        return dict(zip(value._fields, map(_wire, value)))
-    return {f.name: _wire(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return dict(zip(value._fields, map(_wire, value)))
 
 
 def _flatten(prefix, value, rows):

@@ -1,11 +1,10 @@
-import dataclasses
 import json
 import random
 import time
 import warnings
 from contextlib import nullcontext
 from fractions import Fraction
-from functools import partial
+from operator import methodcaller
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -211,7 +210,7 @@ def ranges(lo_min, lo_max, max_length):
 
 
 def rendered(report):
-    data = {"threefold": "X", **{f.name: getattr(report, f.name) for f in dataclasses.fields(report)}}
+    data = {"threefold": "X", **report._asdict()}
     response = Response("ok", "dzero", data, ())
     return response_json(response), response_table(response)
 
@@ -225,7 +224,7 @@ def test_a_witness_rectangle_is_the_tuple_it_stands_for(X, k_range, c_range, cut
     witnesses = report.witnesses
     assert list(witnesses) == brute_force_witnesses(X, k_range, c_range)
     pairs = tuple(witnesses)
-    plain = dataclasses.replace(report, witnesses=pairs)
+    plain = report._replace(witnesses=pairs)
     assert rendered(report) == rendered(plain)
     assert report == plain and hash(report) == hash(plain)
     if report.normalized.A:
@@ -342,6 +341,31 @@ def test_every_witness_reaches_expected_dim(monkeypatch, capsys, name, k_range, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, k_range, c_range", [
+    ("[5] in P4", (-1, 1), (10, 20)),  # Calabi-Yau: every point is a witness
+    ("[2] in P4", (-13, 13), (10, 100)),  # Fano: 2c = k^2 + 1
+])
+def test_the_witness_recheck_holds_one_block_of_c_at_a_time(monkeypatch, name, k_range, c_range):
+    # With blocks of 4 values of c, every witness is still re-evaluated once,
+    # block by block and in (k, c) order within a block.  c >= 10 keeps the
+    # witnesses apart from the points dzero_condition evaluates.
+    X = model(name)
+    ell = X.curve_lattice[0]
+    seen = []
+
+    def recording(X, F):
+        c = F.c2.coords[0] / ell.coords[0]
+        if c >= 10:
+            seen.append((F.c1.coords[0], c))
+        return expected_dim(X, F)
+
+    monkeypatch.setattr(dzero, "expected_dim", recording)
+    monkeypatch.setattr(dzero, "_RECHECK_COLUMNS", 4)
+    witnesses = list(solve_dzero(DZeroProblem(X, k_range, c_range)).witnesses)
+    blocks = sorted(witnesses, key=lambda w: ((w[1] - c_range[0]) // 4, w))
+    assert seen == blocks != witnesses
+
+
 def test_problem_validation():
     X = model("[2] in P4")
     with pytest.raises(InvalidInput):
@@ -351,6 +375,8 @@ def test_problem_validation():
         DZeroProblem(X, (1, 2, 3), (0, 1))
     with pytest.raises(InvalidInput, match=r"^k_range: expected a pair of integers, got 5$"):
         DZeroProblem(X, 5, (0, 1))
+    with pytest.raises(InvalidInput, match=r"^threefold: expected a Threefold, got str$"):
+        DZeroProblem("x", (0, 1), (0, 1))
     rng = random.Random(3)
     Y = random_threefold(rng, m=2)
     with pytest.raises(UnsupportedPicardRank):
@@ -554,12 +580,12 @@ WRONG_CLAIMS = {
                  "expected relation 2c = k^2 + 2, computed 2c = k^2 + 1"),
     "solvability": (("[2] in P4", False, None), None,
                     "expected solvable=False, computed True for 2c = k^2 + 1"),
-    "no-witness": (("[2] in P4", True, (2, -1, -1)), partial(dataclasses.replace, witnesses=()),
+    "no-witness": (("[2] in P4", True, (2, -1, -1)), methodcaller("_replace", witnesses=()),
                    "solvable but no witness in the search range"),
-    "no-certificate": (("[3] in P4", False, None), partial(dataclasses.replace, obstruction=None),
+    "no-certificate": (("[3] in P4", False, None), methodcaller("_replace", obstruction=None),
                        "unsolvable but no certificate produced"),
     # Four witnesses, of which the message names the first three.
-    "witness": (("[3] in P4", False, None), partial(dataclasses.replace, witnesses=((1, 1), (2, 2), (3, 3), (4, 4))),
+    "witness": (("[3] in P4", False, None), methodcaller("_replace", witnesses=((1, 1), (2, 2), (3, 3), (4, 4))),
                 "witnesses ((1, 1), (2, 2), (3, 3)) contradict the claim"),
 }
 

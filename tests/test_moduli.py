@@ -169,6 +169,10 @@ def test_ledger_errors():
         ext1_ledger(CohomologyLedger(h0_N=2, h0_F=1))
     with pytest.raises(NegativeDimension):
         ext1_ledger(CohomologyLedger(h0_N=0, h0_F=2, h1_IC_zero=True))
+    # Only a bool asserts H1(I_C) = 0: a truthy string or int is refused, not read as True.
+    for flag in ("no", 1):
+        with pytest.raises(InvalidInput, match=f"^h1_IC_zero must be a bool, got {flag!r}$"):
+            CohomologyLedger(3, 1, h1_IC_zero=flag)
 
 
 def test_ledger_invariant_h1_forces_h0_IF_one():

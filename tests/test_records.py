@@ -1,0 +1,107 @@
+"""The contract every chern3 record keeps: immutable, copyable, picklable,
+and checked the same way by its constructor, ``_make`` and ``_replace``."""
+
+import copy
+import pickle
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chern3.chow import CurveClass, DivClass, Threefold
+from chern3.ci import CIPreset, build_ci, parse_preset
+from chern3.dzero import DZeroProblem, DZeroReport, solve_dzero
+from chern3.errors import EmptyRoots, InvalidInput
+from chern3.moduli import CohomologyLedger
+from chern3.sheaf import CharacterData, ChernData, to_character
+from chern3.splitting import RootSpec, ScalarChern
+
+from conftest import random_chern, random_curve, random_div, random_rat, random_threefold
+
+
+def _problem(rng):
+    X = build_ci(parse_preset(rng.choice(["[2] in P4", "[5] in P4", "[2,3] in P5", "[] in P3"])))
+    k_lo, c_lo = rng.randint(-4, 4), rng.randint(-6, 6)
+    return DZeroProblem(X, (k_lo, k_lo + rng.randint(0, 3)), (c_lo, c_lo + rng.randint(0, 3)))
+
+
+def _preset(rng):
+    ambient = rng.randint(3, 6)
+    return CIPreset(ambient, tuple(rng.randint(2, 5) for _ in range(ambient - 3)))
+
+
+def _character(rng):
+    X = random_threefold(rng)
+    return to_character(X, random_chern(rng, X))
+
+
+def _ledger(rng):
+    h1_IC_zero = rng.random() < 0.5
+    h0_IF = rng.choice([None, 1] if h1_IC_zero else [None, 0, 1, 3])
+    return CohomologyLedger(rng.randint(0, 5), rng.randint(0, 5), h0_IF, h1_IC_zero)
+
+
+# A valid record of each type from a seeded generator.
+RECORDS = {
+    DivClass: lambda rng: random_div(rng, random_threefold(rng)),
+    CurveClass: lambda rng: random_curve(rng, random_threefold(rng)),
+    Threefold: lambda rng: random_threefold(rng, zero_c1=rng.random() < 0.3),
+    CIPreset: _preset,
+    CharacterData: _character,
+    CohomologyLedger: _ledger,
+    DZeroProblem: _problem,
+    DZeroReport: lambda rng: solve_dzero(_problem(rng)),
+    RootSpec: lambda rng: RootSpec(*([random_rat(rng) for _ in range(rng.randint(1, 3))] for _ in "EF")),
+    ChernData: lambda rng: random_chern(rng, random_threefold(rng)),
+    ScalarChern: lambda rng: ScalarChern(rng.randint(-9, 9), random_rat(rng), rng.randint(-9, 9)),
+}
+
+# For each type that validates: a field, a value it refuses, and the named error.
+REFUSED = {
+    CIPreset: [("ambient", 2, InvalidInput), ("degrees", (0,) * 9, InvalidInput),
+               ("degrees", "ab", InvalidInput)],
+    CharacterData: [("ch0", 1.5, InvalidInput), ("ch1", CurveClass((1,)), InvalidInput)],
+    CohomologyLedger: [("h0_N", -1, InvalidInput), ("h0_IF", True, InvalidInput),
+                       ("h1_IC_zero", "no", InvalidInput)],
+    DZeroProblem: [("threefold", "x", InvalidInput), ("k_range", (5, -5), InvalidInput),
+                   ("c_range", (0, 1.0), InvalidInput)],
+    RootSpec: [("rootsE", (), EmptyRoots), ("rootsF", (10**7,), InvalidInput)],
+    ChernData: [("rank", 0, InvalidInput), ("c3", 0.5, InvalidInput), ("c1", CurveClass((1,)), InvalidInput)],
+    ScalarChern: [("c1", True, InvalidInput), ("c2", 0.5, InvalidInput)],
+}
+
+
+def _error(build):
+    with pytest.raises(Exception) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(list(RECORDS)), st.integers(0, 2**32), st.data())
+def test_records_copy_refuse_assignment_and_validate_every_way(kind, seed, data):
+    value = RECORDS[kind](random.Random(seed))
+    assert type(value) is kind
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is kind and twin == value and hash(twin) == hash(value)
+        if kind is Threefold:
+            assert (twin.m, twin.c1X_is_zero, twin.chi_O) == (value.m, value.c1X_is_zero, value.chi_O)
+
+    names = ("coords",) if kind in (DivClass, CurveClass) else value._fields
+    for name in (*names, *getattr(value, "__dict__", ()), "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+    if kind in (DivClass, CurveClass):
+        other = (CurveClass if kind is DivClass else DivClass)(value.coords)
+        assert value != other and not value == other
+        return
+    if kind in REFUSED:
+        field, bad, error = data.draw(st.sampled_from(REFUSED[kind]))
+        fields = {**value._asdict(), field: bad}
+        refused = _error(lambda: kind(**fields))
+        assert refused[0] is error
+        assert _error(lambda: value._replace(**{field: bad})) == refused
+        assert _error(lambda: kind._make(fields.values())) == refused
