@@ -31,7 +31,7 @@ import os
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import compress, product, repeat
+from itertools import chain, compress, product, repeat
 from typing import Iterator, NamedTuple
 
 from .chow import CurveClass, DivClass, Threefold
@@ -51,6 +51,7 @@ from .sheaf import ChernData
 ENUM_CAP_ENV = "CHERN3_MAX_ENUM"
 _DEFAULT_ENUM_CAP = 10**6
 _RECHECK_COLUMNS = 4096  # values of c whose curve classes the witness re-check holds at once
+_ROW_BLOCK = 4096  # the most c's a WitnessRectangle holds while it is iterated
 
 
 def _enum_cap() -> int:
@@ -134,6 +135,10 @@ class WitnessRectangle(Sequence):
     and hashes like, the tuple of those pairs, and a slice of it is that
     tuple's slice; ``in`` and ``len`` take constant time, and iteration,
     which is how a report is written, makes each pair by ``itertools.product``.
+    ``product`` copies the ranges it crosses, so it crosses ``ks`` and ``cs``
+    at once only while neither is longer than ``_ROW_BLOCK``; otherwise the
+    rectangle is taken row by row, a block of c's at a time, and iterating a
+    one-row rectangle of 10^6 points never holds all of its c's.
     """
 
     __slots__ = ("ks", "cs")
@@ -148,7 +153,11 @@ class WitnessRectangle(Sequence):
         return len(self.ks) * len(self.cs)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return product(self.ks, self.cs)
+        ks, cs = self.ks, self.cs
+        if len(ks) <= _ROW_BLOCK and len(cs) <= _ROW_BLOCK:
+            return product(ks, cs)
+        blocks = [cs[i:i + _ROW_BLOCK] for i in range(0, len(cs), _ROW_BLOCK)]
+        return chain.from_iterable(product((k,), block) for k in ks for block in blocks)
 
     def __getitem__(self, index: int | slice) -> tuple[int, int] | tuple[tuple[int, int], ...]:
         flat = range(len(self))[index]  # IndexError and TypeError as for a tuple

@@ -14,13 +14,23 @@ E's roots a partition padded with zeros, F's roots another, of total size
 at most 3.  That is at most 18 integer points per pair (``_proved``).
 The same identity is then evaluated at 36 fixed small-integer root patterns
 and at seeded random integer points: replayable samples that show a wrong
-formula as concrete numbers: ``_counterexample`` reports the values it
-compared, as Fractions.  An integer point x decides its whole ray of
+formula as concrete numbers: ``_first_disagreement`` reports the values
+it compared, as Fractions.  An integer point x decides its whole ray of
 rational points: both sides of c_i are homogeneous of degree i, so at t x
 each is t^i times its value at x.  Each random root is uniform on the 2^20
 integers in [-2^19, 2^19), so a wrong form whose difference is a nonzero
 polynomial of degree d in the roots passes a sample with probability at
 most d/2^20 (Schwartz, J. ACM 27(4), 1980).
+
+A rank pair is evaluated as one integer kernel, ``_first_disagreement``,
+run over the proof's points, then the grid's, then the samples', in that
+order, up to the first disagreement.  Points come grouped by E's root list,
+each list with its classes: E's and F's classes are computed once per
+distinct root list (6 + 6 for the grid, one partition at a time for the
+proof), the closed form is called once per point, and the summed roots
+a + b are accumulated into e_1, e_2, e_3 in a nested loop over the r1 r2
+pairs.  The closed form reads its rank-only coefficients from a per-pair
+cache, and the Fraction report is built only when the routes disagree.
 """
 
 from __future__ import annotations
@@ -28,9 +38,10 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyRoots, InvalidInput, LimitExceeded
 from .rationals import rat, rats, require_ints
@@ -104,6 +115,22 @@ def tensor_from_roots(spec: RootSpec) -> ScalarChern:
     return ScalarChern(*_elementary_symmetric(summed))
 
 
+@lru_cache(maxsize=64, typed=True)
+def _rank_coefficients(r1: int, r2: int) -> tuple[int, ...]:
+    # The rank-only coefficients of the closed form, checked and computed once
+    # per rank pair; typed, so True or 2.0 never reads an int's entry.
+    require_ints("r1", r1)
+    require_ints("r2", r2)
+    if r1 < 1 or r2 < 1:
+        raise InvalidInput("ranks must be positive")
+    n = r1 * r2
+    k2E, k2F = comb(r2, 2), comb(r1, 2)
+    return (
+        k2E, k2F, 2 * k2E, 2 * k2F, comb(r2, 3), comb(r1, 3), n - 1, n - 2,
+        ((r2 - 1) * (n - 2)) // 2, ((r1 - 1) * (n - 2)) // 2,
+    )
+
+
 def tensor_closed_form(r1: int, r2: int, cE: ScalarChern, cF: ScalarChern) -> ScalarChern:
     """Closed-form c_i(E (x) F) for rank(E) = r1, rank(F) = r2.
 
@@ -116,30 +143,31 @@ def tensor_closed_form(r1: int, r2: int, cE: ScalarChern, cF: ScalarChern) -> Sc
     is c(E)^r2, so c3(E) enters with coefficient exactly r2
     (column-by-column, the multinomial expansion of c(E)^r2 contributes
     r2 c3 + r2(r2-1) c1 c2 + C(r2,3) c1^3 in degree 3).
+
+    With n = r1 r2, written out:
+
+        c1 = r2 c1E + r1 c1F
+        c2 = C(r2,2) c1E^2 + r2 c2E + (n-1) c1E c1F + r1 c2F + C(r1,2) c1F^2
+        c3 = C(r2,3) c1E^3 + 2 C(r2,2) c1E c2E + (n-2) c1E c2F
+             + (r2-1)(n-2)/2 c1E^2 c1F + (r1-1)(n-2)/2 c1E c1F^2
+             + (n-2) c2E c1F + 2 C(r1,2) c1F c2F + C(r1,3) c1F^3
+             + r2 c3E + r1 c3F
+
+    and evaluated grouped by c1E and c1F.  The ranks must be ints >= 1.
     """
-    if r1 < 1 or r2 < 1:
-        raise InvalidInput("ranks must be positive")
-    n = r1 * r2
+    try:
+        coefficients = _rank_coefficients(r1, r2)
+    except TypeError:  # an unhashable rank misses the cache: the uncached check names it
+        coefficients = _rank_coefficients.__wrapped__(r1, r2)
+    k2E, k2F, d2E, d2F, k3E, k3F, n1, n2, kEEF, kEFF = coefficients
     c1E, c2E, c3E = cE.c1, cE.c2, cE.c3
     c1F, c2F, c3F = cF.c1, cF.c2, cF.c3
 
     c1 = r2 * c1E + r1 * c1F
-    c2 = (
-        comb(r2, 2) * c1E**2
-        + r2 * c2E
-        + (n - 1) * c1E * c1F
-        + r1 * c2F
-        + comb(r1, 2) * c1F**2
-    )
+    c2 = c1E * (k2E * c1E + n1 * c1F) + k2F * c1F * c1F + r2 * c2E + r1 * c2F
     c3 = (
-        comb(r2, 3) * c1E**3
-        + 2 * comb(r2, 2) * c1E * c2E
-        + (n - 2) * c1E * c2F
-        + ((r2 - 1) * (n - 2)) // 2 * c1E**2 * c1F
-        + ((r1 - 1) * (n - 2)) // 2 * c1E * c1F**2
-        + (n - 2) * c2E * c1F
-        + 2 * comb(r1, 2) * c1F * c2F
-        + comb(r1, 3) * c1F**3
+        c1E * (c1E * (k3E * c1E + kEEF * c1F) + kEFF * c1F * c1F + d2E * c2E + n2 * c2F)
+        + c1F * (k3F * c1F * c1F + n2 * c2E + d2F * c2F)
         + r2 * c3E
         + r1 * c3F
     )
@@ -186,33 +214,49 @@ def _grid_patterns(rank: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-_GRID_CHECKS = 36  # 6 patterns for E times 6 for F
-
-
-def _grid_points(r1: int, r2: int) -> Iterator[Sequence[int]]:
-    for pe in _grid_patterns(r1):
-        for pf in _grid_patterns(r2):
-            yield pe + pf
-
-
 def _random_points(rng: random.Random, n_roots: int, trials: int) -> Iterator[Sequence[int]]:
     # Integer roots, E's first, one draw each, uniform on [-2^19, 2^19): within RootSpec's bound.
     for _ in range(trials):
         yield [rng.getrandbits(20) - 2**19 for _ in range(n_roots)]
 
 
-def _counterexample(
-    form: ClosedForm, r1: int, r2: int, rootsE: Sequence[Scalar], rootsF: Sequence[Scalar]
-) -> Counterexample | None:
-    """Compare both routes once at these roots; report a disagreement with the values compared."""
-    cE = ScalarChern(*_elementary_symmetric(rootsE))
-    cF = ScalarChern(*_elementary_symmetric(rootsF))
-    predicted = form(r1, r2, cE, cF)
-    compared = (predicted.c1, predicted.c2, predicted.c3)
-    actual = _elementary_symmetric([a + b for a in rootsE for b in rootsF])
-    if compared == actual:
-        return None
-    return Counterexample(RootSpec(rootsE, rootsF), ScalarChern(*rats(compared)), ScalarChern(*rats(actual)))
+def _with_classes(roots: Sequence[int]) -> tuple[Sequence[int], ScalarChern]:
+    # Integer roots have integer classes: nothing for ScalarChern to check or coerce.
+    return roots, tuple.__new__(ScalarChern, _elementary_symmetric(roots))
+
+
+# A run of points: each of E's root lists with the F root lists it meets, in
+# order, every list with its classes: (rootsE, cE, ((rootsF, cF), ...)).
+_Group = tuple[Sequence[int], ScalarChern, Sequence[tuple[Sequence[int], ScalarChern]]]
+
+
+def _first_disagreement(
+    form: ClosedForm, r1: int, r2: int, groups: Iterable[_Group]
+) -> tuple[int, Counterexample | None]:
+    """Compare both routes at each point of ``groups`` in order, up to the first disagreement.
+
+    Returns the number of points compared and the disagreement, if any,
+    reported as Fractions with the values compared.  Each point calls the
+    closed form once, with its root lists' classes, and sums the r1 r2
+    roots a + b into e_1, e_2, e_3 in a nested loop.
+    """
+    checked = 0
+    for rootsE, cE, pointsF in groups:
+        for rootsF, cF in pointsF:
+            checked += 1
+            predicted = form(r1, r2, cE, cF)
+            e1 = e2 = e3 = 0
+            for a in rootsE:
+                for b in rootsF:
+                    s = a + b
+                    e3 += s * e2
+                    e2 += s * e1
+                    e1 += s
+            compared = (predicted.c1, predicted.c2, predicted.c3)
+            if compared != (e1, e2, e3):
+                spec, actual = RootSpec(rootsE, rootsF), (e1, e2, e3)
+                return checked, Counterexample(spec, ScalarChern(*rats(compared)), ScalarChern(*rats(actual)))
+    return checked, None
 
 
 def _orbit_points(rank: int) -> list[tuple[int, ...]]:
@@ -231,14 +275,18 @@ def _proved(form: ClosedForm, r1: int, r2: int) -> bool:
     variables, so P = x1 Q, and Q(x1 + 1, x') vanishes on the lattice of
     degree d - 1, so Q = 0.  By invariance, vanishing on the lattice is
     vanishing at one sorted point per orbit, which is a pair of partitions.
+
+    The kernel takes these points in ``_orbit_points`` order, E's partition
+    by E's partition, and for each the F partitions of small enough size in
+    turn; each partition's classes are computed once for the pair, and the
+    first disagreement ends the proof.
     """
-    pointsF = _orbit_points(r2)
-    return all(
-        _counterexample(form, r1, r2, rootsE, rootsF) is None
-        for rootsE in _orbit_points(r1)
-        for rootsF in pointsF
-        if sum(rootsE) + sum(rootsF) <= 3
-    )
+    pointsF = [(_with_classes(rootsF), sum(rootsF)) for rootsF in _orbit_points(r2)]
+    groups = []
+    for rootsE in _orbit_points(r1):
+        size = sum(rootsE)
+        groups.append((*_with_classes(rootsE), [pointF for pointF, sizeF in pointsF if size + sizeF <= 3]))
+    return _first_disagreement(form, r1, r2, groups)[1] is None
 
 
 def verify_tensor_formulas(
@@ -272,15 +320,16 @@ def verify_tensor_formulas(
     for r1 in range(1, max_rank + 1):
         for r2 in range(1, max_rank + 1):
             proved = _proved(form, r1, r2)
-            rng = random.Random(seed * 10007 + r1 * 101 + r2)
-            checked, counterexample = 0, None
-            for point in chain(_grid_points(r1, r2), _random_points(rng, r1 + r2, trials)):
-                checked += 1
-                counterexample = _counterexample(form, r1, r2, point[:r1], point[r1:])
-                if counterexample is not None:
-                    break
+            gridF = [_with_classes(pf) for pf in _grid_patterns(r2)]
+            grid = [(*_with_classes(pe), gridF) for pe in _grid_patterns(r1)]
+            checked, counterexample = _first_disagreement(form, r1, r2, grid)
+            if counterexample is None:
+                rng = random.Random(seed * 10007 + r1 * 101 + r2)
+                samples = (
+                    (*_with_classes(point[:r1]), (_with_classes(point[r1:]),))
+                    for point in _random_points(rng, r1 + r2, trials)
+                )
+                counterexample = _first_disagreement(form, r1, r2, samples)[1]
             passed = proved and counterexample is None
-            pairs.append(
-                RankPairResult(r1, r2, passed, min(checked, _GRID_CHECKS), counterexample)
-            )
+            pairs.append(RankPairResult(r1, r2, passed, checked, counterexample))
     return TensorFormulaReport(max_rank, trials, seed, all(p.passed for p in pairs), tuple(pairs))

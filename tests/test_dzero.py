@@ -1,9 +1,11 @@
 import json
 import random
 import time
+import tracemalloc
 import warnings
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import product
 from operator import methodcaller
 
 import pytest
@@ -246,6 +248,30 @@ def test_a_witness_rectangle_is_the_tuple_it_stands_for(X, k_range, c_range, cut
     outside = ((k_lo - 1, c_lo), (k_hi, c_hi + 1), [k_lo, c_lo], (k_lo,), (k_lo, c_lo, 0), (k_lo, c_lo + 0.5))
     for probe in pairs + outside:
         assert (probe in witnesses) == (probe in pairs)
+
+
+@pytest.mark.parametrize("block", [1, 3, 4096])
+def test_a_witness_rectangle_iterates_row_by_row_in_blocks_of_c(monkeypatch, block):
+    monkeypatch.setattr(dzero, "_ROW_BLOCK", block)
+    shapes = (((0, 0), (0, 0)), ((-2, 1), (-3, 3)), ((5, 6), (-2, 2 * block + 2)), ((0, 0), (1, block)),
+              ((1, block + 2), (0, 1)), ((-block, block), (-2, 2)))
+    for k_range, c_range in shapes:
+        rectangle = WitnessRectangle(k_range, c_range)
+        pairs = list(product(range(k_range[0], k_range[1] + 1), range(c_range[0], c_range[1] + 1)))
+        assert list(rectangle) == pairs and len(rectangle) == len(pairs)
+
+
+def test_iterating_a_one_row_rectangle_does_not_copy_its_c_range():
+    # product(ks, cs) copied all 10^6 c's, 38 MB, before the first pair.
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        first = next(iter(WitnessRectangle((0, 0), (-500000, 499999))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == (0, -500000)
+    assert peak < 2**20, peak
 
 
 def test_a_vanishing_c_coefficient_with_a_nonzero_condition_is_a_build_bug(monkeypatch, capsys):

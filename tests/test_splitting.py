@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import comb, prod
 
 import pytest
@@ -8,13 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chern3.errors import EmptyRoots, InvalidInput, LimitExceeded
+from chern3.rationals import rats
 from chern3.splitting import (
+    Counterexample,
+    RankPairResult,
     RootSpec,
     ScalarChern,
+    TensorFormulaReport,
     chern_from_roots,
     tensor_closed_form,
     tensor_from_roots,
     verify_tensor_formulas,
+    _elementary_symmetric,
+    _grid_patterns,
+    _orbit_points,
     _proved,
     _random_points,
 )
@@ -157,9 +164,17 @@ def test_verify_guards():
     for name, value in (("max_rank", 2.5), ("trials", 2.5), ("seed", 1.5), ("trials", True), ("seed", "1")):
         with pytest.raises(InvalidInput, match=f"^{name}: expected an integer, got {type(value).__name__} "):
             verify_tensor_formulas(**{name: value})
+    zero = ScalarChern(0, 0, 0)
     for r1, r2 in ((0, 1), (1, 0)):
         with pytest.raises(InvalidInput, match="ranks must be positive"):
-            tensor_closed_form(r1, r2, ScalarChern(0, 0, 0), ScalarChern(0, 0, 0))
+            tensor_closed_form(r1, r2, zero, zero)
+    # The ranks are checked as verify_tensor_formulas's arguments are: an int
+    # entry of the per-pair coefficients never answers for 2.0 or True.
+    assert tensor_closed_form(2, 1, zero, zero) == tensor_closed_form(1, 2, zero, zero) == zero
+    for r1, r2, bad in ((2.0, 1, 2.0), ("2", 1, "2"), (True, 2, True), (2, 1.0, 1.0), (2, [1], [1])):
+        name = "r1" if bad is r1 else "r2"
+        with pytest.raises(InvalidInput, match=f"^{name}: expected an integer, got {type(bad).__name__} "):
+            tensor_closed_form(r1, r2, zero, zero)
 
 
 def test_reports_are_deterministic_for_a_seed():
@@ -274,3 +289,78 @@ def test_the_proof_refutes_exactly_the_perturbations_that_survive_the_ranks(comb
                 for exps, coeff in combination.items()
             )
             assert _proved(perturbed, r1, r2) == (not survives), (r1, r2, combination)
+
+
+# ------------------------------------------------- the kernel and its reference
+
+
+def _reference_report(max_rank, trials, seed, form):
+    """The oracle's point-by-point loop before the per-pair kernel: the classes
+    of both root lists and the r1 r2 summed roots made afresh at every point,
+    and the report's Fractions built at every comparison."""
+
+    def counterexample(r1, r2, rootsE, rootsF):
+        cE = ScalarChern(*_elementary_symmetric(rootsE))
+        cF = ScalarChern(*_elementary_symmetric(rootsF))
+        predicted = form(r1, r2, cE, cF)
+        compared = (predicted.c1, predicted.c2, predicted.c3)
+        actual = _elementary_symmetric([a + b for a in rootsE for b in rootsF])
+        report = Counterexample(RootSpec(rootsE, rootsF), ScalarChern(*rats(compared)), ScalarChern(*rats(actual)))
+        return None if compared == actual else report
+
+    pairs = []
+    for r1 in range(1, max_rank + 1):
+        for r2 in range(1, max_rank + 1):
+            proved = all(
+                counterexample(r1, r2, rootsE, rootsF) is None
+                for rootsE in _orbit_points(r1)
+                for rootsF in _orbit_points(r2)
+                if sum(rootsE) + sum(rootsF) <= 3
+            )
+            rng = random.Random(seed * 10007 + r1 * 101 + r2)
+            grid = (pe + pf for pe in _grid_patterns(r1) for pf in _grid_patterns(r2))
+            checked, found = 0, None
+            for point in chain(grid, _random_points(rng, r1 + r2, trials)):
+                checked += 1
+                found = counterexample(r1, r2, point[:r1], point[r1:])
+                if found is not None:
+                    break
+            pairs.append(RankPairResult(r1, r2, proved and found is None, min(checked, 36), found))
+    return TensorFormulaReport(max_rank, trials, seed, all(p.passed for p in pairs), tuple(pairs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(MONOMIALS), st.integers(-3, 3), max_size=3),
+    st.booleans(),
+    st.integers(1, 3),
+    st.integers(1, 10),
+    st.integers(0, 2**32),
+)
+def test_the_kernel_reports_and_calls_as_the_point_by_point_loop_did(combination, far_out, max_rank, trials, seed):
+    """A perturbed closed form, or one wrong only far out where no proof or grid
+    point goes, gets the same report from the kernel and from the reference
+    loop, and is called with the same arguments in the same order."""
+
+    def perturbed(r1, r2, cE, cF):
+        good = tensor_closed_form(r1, r2, cE, cF)
+        values = (cE.c1, cE.c2, cE.c3, cF.c1, cF.c2, cF.c3)
+        extra = [0, 0, int(far_out and abs(cE.c1) > 1000)]
+        for exps, coeff in combination.items():
+            extra[_weight(exps) - 1] += coeff * prod(v**e for v, e in zip(values, exps))
+        return ScalarChern(good.c1 + extra[0], good.c2 + extra[1], good.c3 + extra[2])
+
+    def recording(calls):
+        def form(r1, r2, cE, cF):
+            calls.append((r1, r2, cE, cF))
+            return perturbed(r1, r2, cE, cF)
+        return form
+
+    kernel_calls, reference_calls = [], []
+    report = verify_tensor_formulas(max_rank, trials, seed, closed_form=recording(kernel_calls))
+    reference = _reference_report(max_rank, trials, seed, recording(reference_calls))
+    assert report == reference
+    assert [(p.passed, p.grid_checks, p.counterexample) for p in report.pairs] == [
+        (p.passed, p.grid_checks, p.counterexample) for p in reference.pairs]
+    assert kernel_calls == reference_calls
+    assert all(type(v) is int for call in kernel_calls for v in (*call[2], *call[3]))
