@@ -8,9 +8,6 @@ Records are immutable named tuples.  A record that validates, coerces or
 derives values does so in ``__new__``, so ``_make`` and ``_replace`` check
 as its constructor does.  ``DivClass`` and ``CurveClass`` are immutable
 vectors but not tuples, so neither equals a tuple or the other.
-``Threefold`` is an immutable ``__slots__`` class with the named-tuple
-``_fields``, ``_make``, ``_replace`` and ``_asdict``, but not a tuple:
-its attributes are read at every intersection.
 """
 
 from .chow import (

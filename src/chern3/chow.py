@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence, TypeVar
 
@@ -130,7 +131,7 @@ class CurveClass(_ClassVector):
     """Codimension-2 class: intersection numbers against the generators."""
 
 
-class Threefold(_Frozen):
+class Threefold(_Frozen, namedtuple("_Threefold", "generator_names T c1X c2X curve_lattice")):
     """Numerical model of a smooth projective threefold.
 
     ``T`` is the dense m*m*m trilinear intersection form on the divisor
@@ -143,52 +144,19 @@ class Threefold(_Frozen):
 
     Three values are derived when it is built and are not constructor
     arguments: ``m``, the number of generators, ``c1X_is_zero``, whether
-    c1(X) vanishes, and ``chi_O``, the ``todd_genus`` chi(O_X).  They take
-    no part in ``==``, ``hash`` or ``repr``, which read the five fields in
-    ``_fields`` as a named tuple would, and ``_replace``, ``_make``, copy
-    and pickle rebuild through the constructor, so they recompute them.
-    Every value is a slot: a read costs what a plain attribute does, where
-    a tuple subclass's fields and instance dict cost 2.5-4 times as much.
+    c1(X) vanishes, and ``chi_O``, the ``todd_genus`` chi(O_X).  They live
+    outside the tuple, so they take no part in ``==``, ``hash`` or ``repr``,
+    and ``_replace`` recomputes them.
     """
 
-    __slots__ = ("generator_names", "T", "c1X", "c2X", "curve_lattice", "m", "c1X_is_zero", "chi_O")
-    _fields = ("generator_names", "T", "c1X", "c2X", "curve_lattice")
+    def __new__(cls, generator_names: tuple[str, ...], T: tuple, c1X: DivClass, c2X: CurveClass,
+                curve_lattice: tuple[CurveClass, ...] | None = None) -> Threefold:
+        self = tuple.__new__(cls, (generator_names, T, c1X, c2X, curve_lattice))
+        vars(self).update(m=len(generator_names), c1X_is_zero=c1X.is_zero)
+        vars(self)["chi_O"] = todd_genus(self)  # reads m
+        return self
 
-    def __init__(self, generator_names: tuple[str, ...], T: tuple, c1X: DivClass, c2X: CurveClass,
-                 curve_lattice: tuple[CurveClass, ...] | None = None) -> None:
-        fields = (generator_names, T, c1X, c2X, curve_lattice, len(generator_names), c1X.is_zero)
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "chi_O", todd_genus(self))  # reads m
-
-    def _values(self) -> tuple:
-        return self.generator_names, self.T, self.c1X, self.c2X, self.curve_lattice
-
-    def __eq__(self, other: object) -> bool:
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__, not setattr
-        return type(self), self._values()
-
-    @classmethod
-    def _make(cls, iterable) -> Threefold:
-        return cls(*iterable)
-
-    def _asdict(self) -> dict:
-        return dict(zip(self._fields, self._values()))
-
-    def _replace(self, **changes) -> Threefold:
-        result = self._make(map(changes.pop, self._fields, self._values()))
-        if changes:
-            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
-        return result
+    _make = classmethod(lambda cls, it: cls(*it))
 
 
 def make_threefold(

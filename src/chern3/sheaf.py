@@ -65,7 +65,7 @@ class CharacterData(namedtuple("_CharacterData", "ch0 ch1 ch2 ch3")):
 
 
 def _check_on(X: Threefold, F: ChernData) -> None:
-    if not len(F.c1.coords) == len(F.c2.coords) == X.m:
+    if not len(F.c1.coords) == len(F.c2.coords) == X.m:  # m once: on a Threefold it is an instance-dict read
         raise DimensionMismatch(
             f"sheaf data of length ({len(F.c1)}, {len(F.c2)}) does not live on a "
             f"threefold with {X.m} generators"

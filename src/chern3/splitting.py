@@ -115,12 +115,10 @@ def tensor_from_roots(spec: RootSpec) -> ScalarChern:
     return ScalarChern(*_elementary_symmetric(summed))
 
 
-@lru_cache(maxsize=64, typed=True)
+@lru_cache(maxsize=64)
 def _rank_coefficients(r1: int, r2: int) -> tuple[int, ...]:
-    # The rank-only coefficients of the closed form, checked and computed once
-    # per rank pair; typed, so True or 2.0 never reads an int's entry.
-    require_ints("r1", r1)
-    require_ints("r2", r2)
+    # The rank-only coefficients of the closed form, computed once per rank
+    # pair; tensor_closed_form passes it ints only.
     if r1 < 1 or r2 < 1:
         raise InvalidInput("ranks must be positive")
     n = r1 * r2
@@ -155,11 +153,10 @@ def tensor_closed_form(r1: int, r2: int, cE: ScalarChern, cF: ScalarChern) -> Sc
 
     and evaluated grouped by c1E and c1F.  The ranks must be ints >= 1.
     """
-    try:
-        coefficients = _rank_coefficients(r1, r2)
-    except TypeError:  # an unhashable rank misses the cache: the uncached check names it
-        coefficients = _rank_coefficients.__wrapped__(r1, r2)
-    k2E, k2F, d2E, d2F, k3E, k3F, n1, n2, kEEF, kEFF = coefficients
+    if type(r1) is not int or type(r2) is not int:
+        require_ints("r1", r1)
+        require_ints("r2", r2)
+    k2E, k2F, d2E, d2F, k3E, k3F, n1, n2, kEEF, kEFF = _rank_coefficients(r1, r2)
     c1E, c2E, c3E = cE.c1, cE.c2, cE.c3
     c1F, c2F, c3F = cF.c1, cF.c2, cF.c3
 

@@ -251,26 +251,35 @@ def test_a_witness_rectangle_is_the_tuple_it_stands_for(X, k_range, c_range, cut
 
 
 @pytest.mark.parametrize("block", [1, 3, 4096])
-def test_a_witness_rectangle_iterates_row_by_row_in_blocks_of_c(monkeypatch, block):
-    monkeypatch.setattr(dzero, "_ROW_BLOCK", block)
+def test_a_witness_rectangle_iterates_in_crosses_of_at_most_a_block(monkeypatch, block):
+    monkeypatch.setattr(dzero, "_RECHECK_COLUMNS", block)
+    crosses = []
+    monkeypatch.setattr(dzero, "product", lambda ks, cs: crosses.append(len(ks) * len(cs)) or product(ks, cs))
     shapes = (((0, 0), (0, 0)), ((-2, 1), (-3, 3)), ((5, 6), (-2, 2 * block + 2)), ((0, 0), (1, block)),
-              ((1, block + 2), (0, 1)), ((-block, block), (-2, 2)))
+              ((1, block + 2), (0, 1)), ((-block, block), (-2, 2)), ((0, 2 * block + 1), (0, 0)),
+              ((0, 99), (0, 83)), ((0, 4 * block), (0, 83)))
     for k_range, c_range in shapes:
         rectangle = WitnessRectangle(k_range, c_range)
-        pairs = list(product(range(k_range[0], k_range[1] + 1), range(c_range[0], c_range[1] + 1)))
+        ks, cs = range(k_range[0], k_range[1] + 1), range(c_range[0], c_range[1] + 1)
+        pairs = list(product(ks, cs))
+        crosses.clear()
         assert list(rectangle) == pairs and len(rectangle) == len(pairs)
+        # One product while both ranges fit in a block, else crosses of at most a block.
+        assert crosses == [len(pairs)] if max(len(ks), len(cs)) <= block else max(crosses) <= block
+        assert sum(crosses) == len(pairs)
 
 
-def test_iterating_a_one_row_rectangle_does_not_copy_its_c_range():
-    # product(ks, cs) copied all 10^6 c's, 38 MB, before the first pair.
+@pytest.mark.parametrize("k_range, c_range", [((0, 0), (-500000, 499999)), ((-500000, 499999), (0, 0))])
+def test_iterating_a_one_row_or_one_column_rectangle_does_not_copy_its_range(k_range, c_range):
+    # product(ks, cs) copied all 10^6 values, 38 MB, before the first pair.
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        first = next(iter(WitnessRectangle((0, 0), (-500000, 499999))))
+        first = next(iter(WitnessRectangle(k_range, c_range)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert first == (0, -500000)
+    assert first == (k_range[0], c_range[0])
     assert peak < 2**20, peak
 
 
