@@ -4,10 +4,12 @@ Riemann-Roch Euler characteristics, discriminants, expected moduli
 dimensions, Serre-correspondence genus conversions, and certified searches
 for vanishing expected dimension over integer twist lattices.
 
-Records are immutable named tuples.  A record that validates, coerces or
-derives values does so in ``__new__``, so ``_make`` and ``_replace`` check
-as its constructor does.  ``DivClass`` and ``CurveClass`` are immutable
-vectors but not tuples, so neither equals a tuple or the other.
+Records are immutable ``collections.namedtuple`` classes; one with a
+docstring or behaviour subclasses its named tuple with ``__slots__ = ()``.
+A record that validates, coerces or derives values does so in ``__new__``,
+so ``_make`` and ``_replace`` check as its constructor does.  ``DivClass``,
+``CurveClass`` and ``WitnessRectangle`` are immutable but not tuples, so
+none of them equals a tuple, and a ``DivClass`` never equals a ``CurveClass``.
 """
 
 from .chow import (

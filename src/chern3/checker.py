@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from typing import Any, Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
-_TYPES: dict[str, Callable[[Any], bool]] = {
+_TYPES: dict[str, Callable[[object], bool]] = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
     "string": lambda x: isinstance(x, str),
@@ -39,11 +39,11 @@ def _type_names(types: str | list[str]) -> list[str]:
     return [types] if isinstance(types, str) else types
 
 
-def _is_number(x: Any) -> bool:
+def _is_number(x: object) -> bool:
     return type(x) in (int, float)
 
 
-def _same(x: Any, y: Any) -> bool:
+def _same(x: object, y: object) -> bool:
     return type(x) is type(y) and x == y
 
 
@@ -56,7 +56,7 @@ class Violation:
     def __init__(self, message: str) -> None:
         self.message = message
         self.validator: str | None = None
-        self.instance: Any = None
+        self.instance: object = None
         self.schema: dict | None = None
         self.path: deque = deque()
         self.schema_path: deque = deque()
@@ -65,8 +65,8 @@ class Violation:
     absolute_schema_path = property(lambda self: self.schema_path)
 
 
-def _descend(instance: Any, schema: dict, path: Any = None,
-             schema_path: Any = None) -> Iterator[Violation]:
+def _descend(instance: object, schema: dict, path: str | int | None = None,
+             schema_path: str | int | None = None) -> Iterator[Violation]:
     for keyword, value in schema.items():
         for error in _KEYWORDS[keyword](instance, value, schema):
             if error.validator is None:
@@ -80,7 +80,7 @@ def _descend(instance: Any, schema: dict, path: Any = None,
             yield error
 
 
-def _valid(instance: Any, schema: dict) -> bool:
+def _valid(instance: object, schema: dict) -> bool:
     return next(_descend(instance, schema), None) is None
 
 
@@ -191,7 +191,7 @@ def _branch(instance, value, schema):
     return ()  # "then" and "else" are read by "if"
 
 
-_KEYWORDS: dict[str, Callable[[Any, Any, dict], Iterable[Violation]]] = {
+_KEYWORDS: dict[str, Callable[[object, object, dict], Iterable[Violation]]] = {
     "type": _type, "properties": _properties, "required": _required,
     "additionalProperties": _additional_properties, "items": _items,
     "minItems": _min_items, "maxItems": _max_items, "minimum": _minimum, "maximum": _maximum,
@@ -236,11 +236,11 @@ def _relevance(error: Violation) -> tuple:
     return (-len(error.path), error.path, error.validator != "oneOf", not matches_type)
 
 
-def iter_errors(schema: dict, instance: Any) -> Iterator[Violation]:
+def iter_errors(schema: dict, instance: object) -> Iterator[Violation]:
     """Every way ``instance`` breaks ``schema``, in schema order."""
     return _descend(instance, schema)
 
 
-def best_match(schema: dict, instance: Any) -> Violation | None:
+def best_match(schema: dict, instance: object) -> Violation | None:
     """The error jsonschema's ``best_match`` would pick, or None if valid."""
     return max(iter_errors(schema, instance), key=_relevance, default=None)

@@ -22,11 +22,11 @@ from __future__ import annotations
 import itertools
 import warnings
 from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, TypeVar
 
 from .errors import AsymmetricForm, DimensionMismatch, IntegralityWarning, InvalidInput
-from .rationals import SCHEMA_VERSION, rat, rats
+from .rationals import SCHEMA_VERSION, rat, rats, require_rational_list
 
 
 def _check_len(label: str, got: int, want: int) -> None:
@@ -57,9 +57,8 @@ class _ClassVector(_Frozen):
     __slots__ = ("coords",)
 
     def __init__(self, coords: Sequence[int | str | Fraction]) -> None:
-        if type(coords) is not tuple:  # a string would be split into digits, "12" into (1, 2)
-            if isinstance(coords, (str, bytes, bytearray)) or not hasattr(coords, "__iter__"):
-                raise InvalidInput(f"{type(self).__name__}: expected a sequence of rationals, got {coords!r}")
+        if type(coords) is not tuple:
+            require_rational_list(type(self).__name__, coords)
         object.__setattr__(self, "coords", rats(coords))
 
     def __eq__(self, other: object) -> bool:
@@ -75,11 +74,11 @@ class _ClassVector(_Frozen):
         return type(self), (self.coords,)
 
     @classmethod
-    def zero(cls: type[V], m: int) -> V:
+    def zero(cls, m: int) -> _ClassVector:
         return cls((Fraction(0),) * m)
 
     @classmethod
-    def of(cls: type[V], value: V | Sequence[int | str | Fraction]) -> V:
+    def of(cls, value: _ClassVector | Sequence[int | str | Fraction]) -> _ClassVector:
         """``value`` itself if it is a ``cls`` already, else a ``cls`` with its coordinates.
 
         A class of the other codimension is an error, as it is for ``+``.
@@ -102,25 +101,22 @@ class _ClassVector(_Frozen):
             raise InvalidInput(f"cannot add {type(other).__name__} to {type(self).__name__}")
         _check_len(type(self).__name__, len(other), len(self))
 
-    def __add__(self: V, other: V) -> V:
+    def __add__(self, other: _ClassVector) -> _ClassVector:
         self._check_operand(other)
         return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self: V, other: V) -> V:
+    def __sub__(self, other: _ClassVector) -> _ClassVector:
         self._check_operand(other)
         return type(self)(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self: V) -> V:
+    def __neg__(self) -> _ClassVector:
         return type(self)(tuple(-a for a in self.coords))
 
-    def __mul__(self: V, scalar: int | str | Fraction) -> V:
+    def __mul__(self, scalar: int | str | Fraction) -> _ClassVector:
         s = scalar if type(scalar) in (int, Fraction) else rat(scalar)
         return type(self)(tuple(a * s for a in self.coords))
 
     __rmul__ = __mul__
-
-
-V = TypeVar("V", bound=_ClassVector)
 
 
 class DivClass(_ClassVector):

@@ -33,16 +33,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import warnings
-from contextlib import nullcontext
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
-from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple
 
 from . import checker
 from .chow import (
@@ -112,17 +112,8 @@ _THREEFOLD_DOC = _object(
 )
 
 
-class Request(NamedTuple):
-    command: str
-    payload: dict
-    output_mode: str = "table"
-
-
-class Response(NamedTuple):
-    status: str
-    command: str
-    data: dict
-    audit: tuple[tuple[str, Any], ...]
+Request = namedtuple("Request", "command payload output_mode", defaults=("table",))
+Response = namedtuple("Response", "status command data audit")
 
 
 def _resolve_threefold(payload: dict) -> tuple[Threefold, str]:
@@ -132,7 +123,7 @@ def _resolve_threefold(payload: dict) -> tuple[Threefold, str]:
     return threefold_from_json(payload["threefold"]), "custom threefold"
 
 
-def _handle_threefold(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
+def _handle_threefold(payload: dict) -> tuple[dict, list[tuple[str, object]]]:
     preset = CIPreset(payload["ambient"], tuple(payload.get("degrees", ())))
     _, c1, c2, c3 = tangent_chern(preset)
     X = build_ci(preset)
@@ -145,7 +136,7 @@ def _handle_threefold(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
     return data, []
 
 
-def _handle_chern(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
+def _handle_chern(payload: dict) -> tuple[dict, list[tuple[str, object]]]:
     X, label = _resolve_threefold(payload)
     F = chern_from_json(payload["F"])
     op = payload["op"]
@@ -160,7 +151,7 @@ def _handle_chern(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
     return {"threefold": label, "op": op, "result": chern_to_json(result)}, []
 
 
-def _handle_chi(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
+def _handle_chi(payload: dict) -> tuple[dict, list[tuple[str, object]]]:
     X, label = _resolve_threefold(payload)
     F = chern_from_json(payload)
     numbers = rr_intersections(X, F)
@@ -170,7 +161,7 @@ def _handle_chi(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
     return {"threefold": label, "sheaf": F, "terms": dict(terms), "chi": total}, audit
 
 
-def _handle_moduli_dim(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
+def _handle_moduli_dim(payload: dict) -> tuple[dict, list[tuple[str, object]]]:
     X, label = _resolve_threefold(payload)
     F = chern_from_json(payload)
     delta = discriminant(X, F)
@@ -194,7 +185,7 @@ def _handle_moduli_dim(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
     }, audit
 
 
-def _handle_serre(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
+def _handle_serre(payload: dict) -> tuple[dict, list[tuple[str, object]]]:
     X, label = _resolve_threefold(payload)
     det = DivClass(tuple(payload["det"]))
     c2F = CurveClass(tuple(payload["c2"]))
@@ -206,7 +197,7 @@ def _handle_serre(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
     return {"threefold": label, "direction": "to-genus", "genus": str(value)}, []
 
 
-def _handle_ledger(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
+def _handle_ledger(payload: dict) -> tuple[dict, list[tuple[str, object]]]:
     ledger = CohomologyLedger(
         payload["h0_N"],
         payload["h0_F"],
@@ -237,7 +228,7 @@ def _claims_json(claims: PaperClaimsReport) -> dict:
     }
 
 
-def _handle_dzero(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
+def _handle_dzero(payload: dict) -> tuple[dict, list[tuple[str, object]]]:
     if payload.get("verify_paper"):
         claims = verify_paper_claims()
         return {"verify_paper": True, "claims": _claims_json(claims), "ok": True}, []
@@ -248,7 +239,7 @@ def _handle_dzero(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
     return {"threefold": label, **report._asdict()}, []
 
 
-def _handle_verify(payload: dict) -> tuple[dict, list[tuple[str, Any]]]:
+def _handle_verify(payload: dict) -> tuple[dict, list[tuple[str, object]]]:
     given = {key: payload[key] for key in ("max_rank", "trials", "seed") if key in payload}
     formulas = verify_tensor_formulas(**given)  # its signature holds the only defaults
     if "suite" not in payload:
@@ -281,12 +272,16 @@ def _parse_degrees(text: str) -> list[int]:
         raise SchemaError(f"degrees {text!r} must be comma-separated integers") from None
 
 
-def _read_json(label: str, source: str | Path, inline: bool = False) -> Any:
+def _read_json(label: str, source: str | os.PathLike, inline: bool = False) -> object:
     """The JSON document in the file at ``source``, or ``source`` itself if
     ``inline``.  Anything but a UTF-8 JSON document that int() and the
     recursion limit can read is a SchemaError naming ``label``."""
     try:
-        text = source if inline else Path(source).read_text(encoding="utf-8")
+        if inline:
+            text = source
+        else:
+            with open(source, encoding="utf-8") as file:
+                text = file.read()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{label}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     try:
@@ -311,32 +306,29 @@ def _preset_fields(text: str) -> dict:
     return {"ambient": preset.ambient, "degrees": list(preset.degrees)}
 
 
-class Flag(NamedTuple):
+class Flag(namedtuple("_Flag", "name key schema parse required const help",
+                       defaults=(None, False, None, None))):
     """A CLI flag: the payload key it fills, its schema and its text parser.
 
-    Integer flags are parsed by argparse.  A flag with ``const`` takes no
-    value and stores ``const``.  A flag without a key merges the fields it
-    parses into the payload; two flags that set one key exclude each other.
+    ``parse`` maps the flag's text to a payload value, or is None.  Integer
+    flags are parsed by argparse.  A flag with ``const`` takes no value and
+    stores ``const``.  A flag without a key merges the fields it parses, a
+    dict, into the payload; two flags that set one key exclude each other.
     A name without dashes is a positional argument.
     """
 
-    name: str
-    key: str | None
-    schema: dict
-    parse: Callable[[str], Any] | None = None
-    required: bool = False
-    const: Any = None
-    help: str | None = None
+    __slots__ = ()
 
 
-class Command(NamedTuple):
+class Command(namedtuple("_Command", "help handler flags rules", defaults=((),))):
     """A CLI command: help text, handler, flags and payload rules, each rule a
-    JSON-schema fragment every payload satisfies and the CLI's message if not."""
+    JSON-schema fragment every payload satisfies and the CLI's message if not.
 
-    help: str
-    handler: Callable[[dict], tuple[dict, list[tuple[str, Any]]]]
-    flags: tuple[Flag, ...]
-    rules: tuple[tuple[str, dict], ...] = ()
+    The handler maps a payload to ``Response.data`` and a list of the
+    audit's (name, value) pairs; ``rules`` is a tuple of (message, rule) pairs.
+    """
+
+    __slots__ = ()
 
 
 def _one_of(*keys: str) -> dict:
@@ -466,14 +458,14 @@ REQUEST_SCHEMA = checker.supported(_object(
 ))
 
 
-def _schema_message(exc: Any) -> str:
+def _schema_message(exc: object) -> str:
     """An error's message and the payload path it is at, if any; ``exc`` is a
     ``checker.Violation`` or anything with its ``message`` and ``absolute_path``."""
     path = "/".join(str(p) for p in exc.absolute_path)
     return f"{exc.message}" + (f" (at {path})" if path else "")
 
 
-def _best_match(schema: dict, doc: Any, label: str) -> checker.Violation | None:
+def _best_match(schema: dict, doc: object, label: str) -> checker.Violation | None:
     try:
         return checker.best_match(schema, doc)
     except RecursionError:  # decoded, but too deep for an error message's repr
@@ -493,7 +485,7 @@ def validate_payload(command: str, payload: dict) -> None:
     raise SchemaError(f"{command}: {_schema_message(error)}")
 
 
-def load_config(path: str | Path) -> Request:
+def load_config(path: str | os.PathLike) -> Request:
     """Parse a request document from a JSON file, rejecting unknown keys."""
     doc = _read_json(str(path), path)
     error = _best_match(REQUEST_SCHEMA, doc, str(path))
@@ -519,12 +511,10 @@ _LEAVES = frozenset({str, int, bool, type(None), Fraction})
 _CHUNK_ROWS = 4096  # int rows per chunk of output
 
 
-class _IntRows(NamedTuple):
+class _IntRows(namedtuple("_IntRows", "name rows width")):
     """``rows``, tuples of ``width`` ints: ``name[i][j]`` in a table; in JSON ``name`` is their indent."""
 
-    name: str
-    rows: tuple | list | WitnessRectangle
-    width: int
+    __slots__ = ()
 
 
 def _int_row_width(rows: tuple | list) -> int:
@@ -542,7 +532,7 @@ def _int_row_width(rows: tuple | list) -> int:
     return width if width and set(map(type, chain.from_iterable(rows))) == {int} else 0
 
 
-def _members(value: Any) -> list[tuple[str, Any]] | None:
+def _members(value: object) -> list[tuple[str, object]] | None:
     """The (key, member) pairs of a dict or named tuple, in insertion or
     field order; None for a scalar."""
     if type(value) is dict:
@@ -552,7 +542,7 @@ def _members(value: Any) -> list[tuple[str, Any]] | None:
     return None
 
 
-def _table_scalar(value: Any) -> str:
+def _table_scalar(value: object) -> str:
     """A scalar's text: ``str`` writes an int, a string, and a Fraction as "p/q"."""
     if value is None or type(value) is bool:
         return "null" if value is None else "true" if value else "false"
@@ -561,13 +551,13 @@ def _table_scalar(value: Any) -> str:
     raise SelfCheckFailed("report rendering", f"{type(value).__name__} {value!r} is not an exact value")
 
 
-def _json_scalar(value: Any) -> str:
+def _json_scalar(value: object) -> str:
     if type(value) is str or type(value) is Fraction:
         return _escape(str(value))
     return _table_scalar(value)
 
 
-def _walk(value: Any, at: str, table: bool) -> Iterator[Any]:
+def _walk(value: object, at: str, table: bool) -> Iterator[str | tuple[str, str] | _IntRows]:
     """Render a report in one pass over its objects.
 
     Dicts and named tuples are objects, lists, plain tuples and class
@@ -724,7 +714,7 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 def _add_flags(parser: argparse.ArgumentParser, flags: tuple[Flag, ...]) -> None:
     for flag in flags:
-        kwargs: dict[str, Any] = {"help": flag.help}
+        kwargs: dict[str, object] = {"help": flag.help}
         if flag.const is not None:
             kwargs.update(action="store_const", const=flag.const)
         else:
@@ -764,7 +754,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _payload_from_args(args: argparse.Namespace) -> Request:
     command = COMMANDS[args.command]
-    payload: dict[str, Any] = {}
+    payload: dict[str, object] = {}
     given: dict[str, str] = {}  # payload key -> the flag that set it
     for flag in command.flags:
         value = getattr(args, flag.name.lstrip("-"))
@@ -804,10 +794,14 @@ def main(argv: list[str] | None = None) -> int:
         chunks = _json_chunks(response) if request.output_mode == "json" else _table_chunks(response)
         # next() renders, so checks, the whole report before --out is opened or a byte written.
         chunks = chain([next(chunks)], chunks, ["\n"])
-        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as stream:
+        stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+        try:
             for chunk in chunks:  # a chunk at a time, so the report is never one string
                 stream.write(chunk)
             stream.flush()
+        finally:
+            if args.out:
+                stream.close()
     except SchemaError as exc:
         print(f"SchemaError: {exc}", file=sys.stderr)
         return 2

@@ -29,12 +29,11 @@ from __future__ import annotations
 import math
 import os
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
-from typing import Iterator, NamedTuple
 
-from .chow import CurveClass, DivClass, Threefold
+from .chow import CurveClass, DivClass, Threefold, _Frozen
 from .ci import build_ci, parse_preset
 from .errors import (
     ClaimViolation,
@@ -103,56 +102,51 @@ class DZeroProblem(namedtuple("_DZeroProblem", "threefold k_range c_range")):
     _make = classmethod(lambda cls, it: cls(*it))
 
 
-class Obstruction(NamedTuple):
+class Obstruction(namedtuple("_Obstruction", "kind modulus description")):
     """Named impossibility certificate: no k satisfies the condition modulo ``modulus``."""
 
-    kind: str
-    modulus: int
-    description: str
+    __slots__ = ()
 
 
-class Condition(NamedTuple):
+class Condition(namedtuple("_Condition", "a b e")):
     """Rationals with expected_dim = a c + b k^2 + e."""
 
-    a: Fraction
-    b: Fraction
-    e: Fraction
+    __slots__ = ()
 
 
-class Normalized(NamedTuple):
+class Normalized(namedtuple("_Normalized", "A B E")):
     """The condition as coprime integers A c + B k^2 + E = 0, leading sign positive."""
 
-    A: int
-    B: int
-    E: int
+    __slots__ = ()
 
 
-class WitnessRectangle(Sequence):
+class WitnessRectangle(_Frozen):
     """Every (k, c) of ``k_range`` x ``c_range`` in (k, c) order, built on demand.
 
-    The witnesses of an A = 0 search, where every point is one.  It equals,
-    and hashes like, the tuple of those pairs, and a slice of it is that
-    tuple's slice; ``in`` and ``len`` take constant time, and iteration,
-    which is how a report is written, makes each pair by ``itertools.product``.
-    ``product`` copies the ranges it crosses, so it crosses ``ks`` and ``cs``
-    at once only while neither is longer than ``_RECHECK_COLUMNS``.  A
-    larger rectangle is crossed a few rows at a time, whole rows when a row
-    has at most ``_RECHECK_COLUMNS`` points and one row's block of that many
-    c's otherwise: no such cross yields more than ``_RECHECK_COLUMNS``
-    pairs, and iterating a one-row or one-column rectangle of 10^6 points
-    never holds all of its values.  (The one ``product`` is kept for the
-    smaller rectangles because ``chain`` costs each pair of a report a
-    little: on CPython 3.11 a 5,040-point report's JSON renders 1.7%
-    slower through it.)
+    The witnesses of an A = 0 search, where every point is one.  It is
+    immutable, and it equals and hashes by its ranges ``ks`` and ``cs``, so
+    hashing costs no pair; it equals no tuple.  ``len`` takes constant time,
+    and iteration, which is how a report is written, makes each pair by
+    ``itertools.product``.  ``product`` copies the ranges it crosses, so it
+    crosses ``ks`` and ``cs`` at once only while neither is longer than
+    ``_RECHECK_COLUMNS``.  A larger rectangle is crossed a few rows at a
+    time, whole rows when a row has at most ``_RECHECK_COLUMNS`` points and
+    one row's block of that many c's otherwise: no such cross yields more
+    than ``_RECHECK_COLUMNS`` pairs, and iterating a one-row or one-column
+    rectangle of 10^6 points never holds all of its values.  (The one
+    ``product`` is kept for the smaller rectangles because ``chain`` costs
+    each pair of a report a little: on CPython 3.11 a 5,040-point report's
+    JSON renders 1.7% slower through it.)
     """
 
     __slots__ = ("ks", "cs")
 
     def __init__(self, k_range: tuple[int, int], c_range: tuple[int, int]) -> None:
-        self.ks = range(k_range[0], k_range[1] + 1)
-        self.cs = range(c_range[0], c_range[1] + 1)
-        if not (self.ks and self.cs):  # as for DZeroProblem; the walker writes no empty block
+        ks, cs = range(k_range[0], k_range[1] + 1), range(c_range[0], c_range[1] + 1)
+        if not (ks and cs):  # as for DZeroProblem; the walker writes no empty block
             raise InvalidInput(f"witness rectangle {k_range} x {c_range} is empty")
+        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "cs", cs)
 
     def __len__(self) -> int:
         return len(self.ks) * len(self.cs)
@@ -167,45 +161,34 @@ class WitnessRectangle(Sequence):
             product(ks[i:i + rows], block) for i in range(0, len(ks), rows) for block in blocks
         )
 
-    def __getitem__(self, index: int | slice) -> tuple[int, int] | tuple[tuple[int, int], ...]:
-        flat = range(len(self))[index]  # IndexError and TypeError as for a tuple
-        if type(flat) is int:
-            q, r = divmod(flat, len(self.cs))
-            return self.ks[q], self.cs[r]
-        return tuple(map(self.__getitem__, flat))
-
-    def __contains__(self, pair: object) -> bool:
-        return isinstance(pair, tuple) and len(pair) == 2 and pair[0] in self.ks and pair[1] in self.cs
-
     def __eq__(self, other: object) -> bool:
         if type(other) is WitnessRectangle:
             return (self.ks, self.cs) == (other.ks, other.cs)
-        if isinstance(other, tuple):
-            return len(other) == len(self) and tuple(self) == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        return hash((self.ks, self.cs))
+
+    def _ranges(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        return (self.ks.start, self.ks.stop - 1), (self.cs.start, self.cs.stop - 1)
 
     def __repr__(self) -> str:
-        return (f"WitnessRectangle(k_range=({self.ks.start}, {self.ks.stop - 1}), "
-                f"c_range=({self.cs.start}, {self.cs.stop - 1}))")
+        return "WitnessRectangle(k_range=%r, c_range=%r)" % self._ranges()
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__, not setattr
+        return WitnessRectangle, self._ranges()
 
 
-class DZeroReport(NamedTuple):
-    """Affine condition, solvability verdict, and in-range witnesses."""
+class DZeroReport(namedtuple("_DZeroReport", "condition normalized relation solvable modulus residues "
+                                              "obstruction witnesses k_range c_range grid_checked")):
+    """Affine condition, solvability verdict, and in-range witnesses.
 
-    condition: Condition
-    normalized: Normalized
-    relation: str
-    solvable: bool
-    modulus: int | None
-    residues: tuple[int, ...] | None
-    obstruction: Obstruction | None
-    witnesses: tuple[tuple[int, int], ...] | WitnessRectangle
-    k_range: tuple[int, int]
-    c_range: tuple[int, int]
-    grid_checked: bool
+    ``modulus``, ``residues`` (a tuple of ints) and ``obstruction`` are None
+    where they do not apply.  ``witnesses`` is a tuple of (k, c) int pairs,
+    or a ``WitnessRectangle`` when every point of the rectangle is one.
+    """
+
+    __slots__ = ()
 
 
 def _dim_at(X: Threefold, generator: CurveClass, k: int, c: int) -> Fraction:
@@ -400,13 +383,13 @@ def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport
     )
 
 
-class PresetClaim(NamedTuple):
-    preset: str
-    report: DZeroReport
+PresetClaim = namedtuple("PresetClaim", "preset report")
 
 
-class PaperClaimsReport(NamedTuple):
-    entries: tuple[PresetClaim, ...]
+class PaperClaimsReport(namedtuple("_PaperClaimsReport", "entries")):
+    """The catalogued presets' claims, each a ``PresetClaim``, and how many are solvable or certified."""
+
+    __slots__ = ()
 
     @property
     def solvable_count(self) -> int:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import InvalidInput
 
@@ -56,6 +56,13 @@ def require_ints(name: str, *values: object) -> None:
     for value in values:
         if type(value) is not int:
             raise InvalidInput(f"{name}: expected an integer, got {type(value).__name__} {value!r}")
+
+
+def require_rational_list(name: str, values: object) -> None:
+    """Raise InvalidInput unless ``values`` is an iterable other than a string:
+    a string or bytes would be split into digits, "12" read as (1, 2)."""
+    if isinstance(values, (str, bytes, bytearray)) or not hasattr(values, "__iter__"):
+        raise InvalidInput(f"{name}: expected a sequence of rationals, got {values!r}")
 
 
 def rats(values: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:

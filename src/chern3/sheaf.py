@@ -20,8 +20,8 @@ sum x <= 3}, unisolvent for degree <= 3 (Chung and Yao, 1977).
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .chow import CurveClass, DivClass, Threefold, _check_len, mul_div_div, pair_div_curve, triple
 from .errors import DegenerateLine, DimensionMismatch, InvalidInput, NonIntegralRank

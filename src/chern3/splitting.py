@@ -37,14 +37,14 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyRoots, InvalidInput, LimitExceeded
-from .rationals import rat, rats, require_ints
+from .rationals import rat, rats, require_ints, require_rational_list
 
 _ROOT_BOUND = 10**6
 MAX_RANK = 6
@@ -79,6 +79,8 @@ class RootSpec(namedtuple("_RootSpec", "rootsE rootsF")):
     __slots__ = ()
 
     def __new__(cls, rootsE: Sequence[Scalar | str], rootsF: Sequence[Scalar | str]) -> RootSpec:
+        require_rational_list("rootsE", rootsE)
+        require_rational_list("rootsF", rootsF)
         rootsE, rootsF = rats(rootsE), rats(rootsF)
         if not rootsE or not rootsF:
             raise EmptyRoots("root lists must be nonempty")
@@ -103,6 +105,7 @@ def _elementary_symmetric(roots: Sequence[Scalar]) -> tuple[Scalar, Scalar, Scal
 
 def chern_from_roots(roots: Sequence[Fraction | int | str]) -> ScalarChern:
     """c_i = e_i(roots), the elementary symmetric polynomials (0 past the rank)."""
+    require_rational_list("roots", roots)
     values = rats(roots)
     if not values:
         raise EmptyRoots("cannot take Chern classes of an empty root list")
@@ -174,28 +177,14 @@ def tensor_closed_form(r1: int, r2: int, cE: ScalarChern, cF: ScalarChern) -> Sc
 ClosedForm = Callable[[int, int, ScalarChern, ScalarChern], ScalarChern]
 
 
-class Counterexample(NamedTuple):
-    spec: RootSpec
-    closed_form: ScalarChern
-    from_roots: ScalarChern
+Counterexample = namedtuple("Counterexample", "spec closed_form from_roots")
+RankPairResult = namedtuple("RankPairResult", "r1 r2 passed grid_checks counterexample")
 
 
-class RankPairResult(NamedTuple):
-    r1: int
-    r2: int
-    passed: bool
-    grid_checks: int
-    counterexample: Counterexample | None
+class TensorFormulaReport(namedtuple("_TensorFormulaReport", "max_rank trials seed ok pairs")):
+    """``ok`` is true when every rank pair passed; ``pairs`` holds a ``RankPairResult`` per pair."""
 
-
-class TensorFormulaReport(NamedTuple):
-    """``ok`` is true when every rank pair passed."""
-
-    max_rank: int
-    trials: int
-    seed: int
-    ok: bool
-    pairs: tuple[RankPairResult, ...]
+    __slots__ = ()
 
 
 def _grid_patterns(rank: int) -> tuple[tuple[int, ...], ...]:

@@ -145,15 +145,22 @@ def test_checker_yields_every_error_in_schema_order(command, payload):
     assert errors(checker.iter_errors(schema, payload)) == errors(ORACLES[command].iter_errors(payload))
 
 
-def test_importing_the_cli_and_running_a_request_loads_no_jsonschema():
+# With site, a .pth file may import typing, pathlib or contextlib before chern3
+# does; under -S only what chern3 itself imports is loaded.
+@pytest.mark.parametrize("flags, unused", [
+    ((), ("dataclasses", "inspect")),
+    (("-S",), ("dataclasses", "inspect", "typing", "pathlib", "contextlib")),
+], ids=["site", "no-site"])
+def test_importing_the_cli_and_running_a_request_loads_no_jsonschema(flags, unused):
     code = ("import sys, chern3.cli\n"
             "rc = chern3.cli.main(['chi', '--preset', '[2] in P4', '--rank', '2', '--c1', '1', '--c2', '1'])\n"
             "assert rc == 0, rc\n"
             "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
-            "assert not {'dataclasses', 'inspect'} & set(sys.modules), 'dataclasses or inspect was imported'\n")
+            f"loaded = set({unused!r}) & set(sys.modules)\n"
+            "assert not loaded, f'{sorted(loaded)} imported'\n")
     src = str(Path(chern3.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "chi: ok" in proc.stdout
 

@@ -203,8 +203,6 @@ def test_solver_equals_brute_force_with_the_least_certificate(X, k_lo, k_len, c_
 
 _CALABI_YAU = ("[5] in P4", "[3,3] in P5", "[2,4] in P5", "[2,2,3] in P6", "[2,2,2,2] in P7")
 _FANO = ("[2] in P4", "[3] in P4", "[2,3] in P5", "[] in P3")
-_slice_ends = st.none() | st.integers(-40, 40)
-_slices = st.builds(slice, _slice_ends, _slice_ends, st.none() | st.integers(-3, 3).filter(bool))
 
 
 def ranges(lo_min, lo_max, max_length):
@@ -218,9 +216,9 @@ def rendered(report):
 
 
 @settings(max_examples=60, deadline=None)
-@example("[5] in P4", (-3, 3), (-2, 2), slice(None, None, -1))
-@given(st.sampled_from(_CALABI_YAU + _FANO) | line_threefolds(), ranges(-4, 2, 4), ranges(-6, 6, 6), _slices)
-def test_a_witness_rectangle_is_the_tuple_it_stands_for(X, k_range, c_range, cut):
+@example("[5] in P4", (-3, 3), (-2, 2))
+@given(st.sampled_from(_CALABI_YAU + _FANO) | line_threefolds(), ranges(-4, 2, 4), ranges(-6, 6, 6))
+def test_a_witness_rectangle_is_the_tuple_it_stands_for(X, k_range, c_range):
     X = model(X) if type(X) is str else X
     report = solve_dzero(DZeroProblem(X, k_range, c_range))
     witnesses = report.witnesses
@@ -228,26 +226,20 @@ def test_a_witness_rectangle_is_the_tuple_it_stands_for(X, k_range, c_range, cut
     pairs = tuple(witnesses)
     plain = report._replace(witnesses=pairs)
     assert rendered(report) == rendered(plain)
-    assert report == plain and hash(report) == hash(plain)
     if report.normalized.A:
-        assert type(witnesses) is tuple
+        assert type(witnesses) is tuple and report == plain
         return
     assert type(witnesses) is WitnessRectangle and X.c1X.is_zero
     n = len(pairs)
     assert len(witnesses) == n == (k_range[1] - k_range[0] + 1) * (c_range[1] - c_range[0] + 1)
-    assert [witnesses[i] for i in range(-n, n)] == [pairs[i] for i in range(-n, n)]
-    for i in (n, -n - 1):
-        with pytest.raises(IndexError):
-            witnesses[i]
-    assert witnesses[cut] == pairs[cut] and type(witnesses[cut]) is tuple
-    assert witnesses == pairs and pairs == witnesses and not witnesses != pairs and not pairs != witnesses
-    assert witnesses == WitnessRectangle(k_range, c_range) and hash(witnesses) == hash(pairs)
-    for other in (pairs[:-1], pairs + pairs[:1], pairs[::-1] if n > 1 else ((0, 0.5),), list(pairs), None):
-        assert witnesses != other and not witnesses == other and (pairs == other) == (witnesses == other)
+    # It equals and hashes by its ranges, and equals no tuple, not even its own pairs.
+    twin = WitnessRectangle(k_range, c_range)
+    assert witnesses == twin and not witnesses != twin and hash(witnesses) == hash(twin)
+    assert report == report._replace(witnesses=twin) and hash(report) == hash(report._replace(witnesses=twin))
     (k_lo, k_hi), (c_lo, c_hi) = k_range, c_range
-    outside = ((k_lo - 1, c_lo), (k_hi, c_hi + 1), [k_lo, c_lo], (k_lo,), (k_lo, c_lo, 0), (k_lo, c_lo + 0.5))
-    for probe in pairs + outside:
-        assert (probe in witnesses) == (probe in pairs)
+    for other in (pairs, list(pairs), WitnessRectangle((k_lo, k_hi + 1), c_range),
+                  WitnessRectangle(k_range, (c_lo - 1, c_hi)), None):
+        assert witnesses != other and not witnesses == other and other != witnesses
 
 
 @pytest.mark.parametrize("block", [1, 3, 4096])
@@ -271,11 +263,14 @@ def test_a_witness_rectangle_iterates_in_crosses_of_at_most_a_block(monkeypatch,
 
 @pytest.mark.parametrize("k_range, c_range", [((0, 0), (-500000, 499999)), ((-500000, 499999), (0, 0))])
 def test_iterating_a_one_row_or_one_column_rectangle_does_not_copy_its_range(k_range, c_range):
-    # product(ks, cs) copied all 10^6 values, 38 MB, before the first pair.
+    # product(ks, cs) copied all 10^6 values, 38 MB, before the first pair;
+    # hashing the tuple of pairs built all 10^6 pairs, 92 MB.
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        first = next(iter(WitnessRectangle(k_range, c_range)))
+        rectangle = WitnessRectangle(k_range, c_range)
+        first = next(iter(rectangle))
+        hash(rectangle)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -433,7 +428,7 @@ def test_enumeration_cap(monkeypatch):
     solve_dzero(DZeroProblem(model("[2] in P4"), (-5, 5), (-5, 5)))
     # a rectangle of exactly the cap's size is searched, Calabi-Yau targets included
     monkeypatch.setenv("CHERN3_MAX_ENUM", "1")
-    assert solve_dzero(DZeroProblem(model("[5] in P4"), (0, 0), (0, 0))).witnesses == ((0, 0),)
+    assert list(solve_dzero(DZeroProblem(model("[5] in P4"), (0, 0), (0, 0))).witnesses) == [(0, 0)]
 
 
 def test_the_congruence_modulus_is_capped_before_any_scan(monkeypatch, capsys):

@@ -33,6 +33,8 @@ def test_chern_from_roots_basics():
     assert chern_from_roots([1, 2, 3]) == ScalarChern(6, 11, 6)
     with pytest.raises(EmptyRoots):
         chern_from_roots([])
+    with pytest.raises(InvalidInput, match="^roots: expected a sequence of rationals, got '123'$"):
+        chern_from_roots("123")  # not the roots (1, 2, 3)
 
 
 def test_chern_from_roots_permutation_invariant():
