@@ -6,10 +6,11 @@ for vanishing expected dimension over integer twist lattices.
 
 Records are immutable ``collections.namedtuple`` classes; one with a
 docstring or behaviour subclasses its named tuple with ``__slots__ = ()``.
-A record that validates, coerces or derives values does so in ``__new__``,
-so ``_make`` and ``_replace`` check as its constructor does.  ``DivClass``,
-``CurveClass`` and ``WitnessRectangle`` are immutable but not tuples, so
-none of them equals a tuple, and a ``DivClass`` never equals a ``CurveClass``.
+A record that validates, coerces or derives values, ``Threefold`` say, does
+so in ``__new__``, so ``_make``, ``_replace``, copy and pickle check as its
+constructor does.  ``DivClass``, ``CurveClass`` and ``WitnessRectangle`` are
+immutable but not tuples, so none of them equals a tuple, and a ``DivClass``
+never equals a ``CurveClass``.
 """
 
 from .chow import (

@@ -248,8 +248,10 @@ def _handle_verify(payload: dict) -> tuple[dict, list[tuple[str, object]]]:
     return {"suite": "paper", "ok": formulas.ok, "claims": claims, "tensor_formulas": formulas}, []
 
 
-# ASCII digits only: "\d" would also take digits such as "١", which int() parses.
-_RANGE_FLAG = re.compile(r"-?[0-9]+\.\.-?[0-9]+")
+# An integer as JSON writes it; int() would also read "2_0", "+2", "02" and digits such as "١".
+_JSON_INT = r"-?(?:0|[1-9][0-9]*)"
+_INT_FLAG = re.compile(_JSON_INT)
+_RANGE_FLAG = re.compile(rf"{_JSON_INT}\.\.{_JSON_INT}")
 
 
 def _parse_range(text: str) -> list[int]:
@@ -266,10 +268,13 @@ def _parse_vector(text: str) -> list[str]:
 
 
 def _parse_degrees(text: str) -> list[int]:
+    degrees = _parse_vector(text)
     try:
-        return [int(d) for d in _parse_vector(text)]
-    except ValueError:
-        raise SchemaError(f"degrees {text!r} must be comma-separated integers") from None
+        if all(map(_INT_FLAG.fullmatch, degrees)):
+            return [int(d) for d in degrees]
+    except ValueError:  # a degree longer than int() reads
+        pass
+    raise SchemaError(f"degrees {text!r} must be comma-separated integers")
 
 
 def _read_json(label: str, source: str | os.PathLike, inline: bool = False) -> object:
@@ -310,11 +315,12 @@ class Flag(namedtuple("_Flag", "name key schema parse required const help",
                        defaults=(None, False, None, None))):
     """A CLI flag: the payload key it fills, its schema and its text parser.
 
-    ``parse`` maps the flag's text to a payload value, or is None.  Integer
-    flags are parsed by argparse.  A flag with ``const`` takes no value and
-    stores ``const``.  A flag without a key merges the fields it parses, a
-    dict, into the payload; two flags that set one key exclude each other.
-    A name without dashes is a positional argument.
+    ``parse`` maps the flag's text to a payload value, or is None.  The text
+    of an integer flag is read as JSON, as ``--config`` reads its payload.
+    A flag with ``const`` takes no value and stores ``const``.  A flag
+    without a key merges the fields it parses, a dict, into the payload;
+    two flags that set one key exclude each other.  A name without dashes
+    is a positional argument.
     """
 
     __slots__ = ()
@@ -719,8 +725,6 @@ def _add_flags(parser: argparse.ArgumentParser, flags: tuple[Flag, ...]) -> None
             kwargs.update(action="store_const", const=flag.const)
         else:
             kwargs.update(choices=flag.schema.get("enum"))
-            if flag.schema.get("type") == "integer":
-                kwargs.update(type=int)
         if flag.name.startswith("-"):
             kwargs.update(dest=flag.name.lstrip("-"), required=flag.required)
         parser.add_argument(flag.name, **kwargs)
@@ -762,6 +766,8 @@ def _payload_from_args(args: argparse.Namespace) -> Request:
             continue
         if flag.parse is not None:
             value = flag.parse(value)
+        elif flag.schema.get("type") == "integer":  # so the schema judges "2.0" as in a --config payload
+            value = _read_json(flag.name, value, inline=True)
         for key, field in ({flag.key: value} if flag.key else value).items():
             if key in given:
                 raise SchemaError(f"{args.command}: give only one of {given[key]}, {flag.name}")

@@ -78,6 +78,18 @@ def _require_line_lattice(X: Threefold) -> CurveClass:
     return generator
 
 
+def _int_range(name: str, value: object) -> tuple[int, int]:
+    """``value`` as a nonempty range (lo, hi) of ints, or InvalidInput naming ``name``."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{name}: expected a pair of integers, got {value!r}") from None
+    require_ints(name, lo, hi)
+    if lo > hi:
+        raise InvalidInput(f"{name} [{lo}, {hi}] is empty")
+    return lo, hi
+
+
 class DZeroProblem(namedtuple("_DZeroProblem", "threefold k_range c_range")):
     """Search rectangle for integer (k, c) with expected dimension zero."""
 
@@ -87,17 +99,7 @@ class DZeroProblem(namedtuple("_DZeroProblem", "threefold k_range c_range")):
         if not isinstance(threefold, Threefold):
             raise InvalidInput(f"threefold: expected a Threefold, got {type(threefold).__name__}")
         _require_line_lattice(threefold)
-        ranges = []
-        for name, value in (("k_range", k_range), ("c_range", c_range)):
-            try:
-                lo, hi = value
-            except (TypeError, ValueError):
-                raise InvalidInput(f"{name}: expected a pair of integers, got {value!r}") from None
-            require_ints(name, lo, hi)
-            if lo > hi:
-                raise InvalidInput(f"{name} [{lo}, {hi}] is empty")
-            ranges.append((lo, hi))
-        return tuple.__new__(cls, (threefold, *ranges))
+        return tuple.__new__(cls, (threefold, _int_range("k_range", k_range), _int_range("c_range", c_range)))
 
     _make = classmethod(lambda cls, it: cls(*it))
 
@@ -142,11 +144,10 @@ class WitnessRectangle(_Frozen):
     __slots__ = ("ks", "cs")
 
     def __init__(self, k_range: tuple[int, int], c_range: tuple[int, int]) -> None:
-        ks, cs = range(k_range[0], k_range[1] + 1), range(c_range[0], c_range[1] + 1)
-        if not (ks and cs):  # as for DZeroProblem; the walker writes no empty block
-            raise InvalidInput(f"witness rectangle {k_range} x {c_range} is empty")
-        object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "cs", cs)
+        # Checked as DZeroProblem checks them; the walker writes no empty block.
+        (k_lo, k_hi), (c_lo, c_hi) = _int_range("k_range", k_range), _int_range("c_range", c_range)
+        object.__setattr__(self, "ks", range(k_lo, k_hi + 1))
+        object.__setattr__(self, "cs", range(c_lo, c_hi + 1))
 
     def __len__(self) -> int:
         return len(self.ks) * len(self.cs)

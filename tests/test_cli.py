@@ -885,7 +885,7 @@ _WELL_FORMED = {
     "--ambient": ["4", "5"], "--degrees": ["2", "2,3", ""], "--preset": ["[2] in P4", "[5] in P4", "[2,3] in P5"],
     "--f": [F_FLAG], "--e": [F_FLAG], "--k": ["-2..2", "3..1", "0..600"], "--c": ["-2..2", "0..0"],
 }
-_INTEGERS = ["1", "2", "0", "-1"]
+_INTEGERS = ["1", "2", "0", "-1", "2_0", "٢"]
 _RATIONALS = ["1", "0", "-1", "1/2", "1,0"]  # and vectors
 
 
@@ -942,6 +942,44 @@ def test_a_generator_name_that_is_not_utf8_is_refused_before_writing(tmp_path, c
 def test_threefold_degrees_must_be_integers(capsys):
     assert main(["threefold", "--ambient", "4", "--degrees", "2,x"]) == 2
     assert capsys.readouterr().err == "SchemaError: degrees '2,x' must be comma-separated integers\n"
+
+
+@pytest.mark.parametrize("number", ["2_0", "٢", "+2", "02"])
+def test_degrees_and_range_bounds_are_integers_as_json_writes_them(capsys, number):
+    assert main(["threefold", "--ambient", "5", "--degrees", f"3,{number}"]) == 2
+    assert capsys.readouterr().err == f"SchemaError: degrees '3,{number}' must be comma-separated integers\n"
+    assert main(["dzero", "--preset", "[2] in P4", "--k", f"-1..{number}"]) == 2
+    assert capsys.readouterr().err == f"SchemaError: range '-1..{number}' must look like -10..10\n"
+
+
+# Each command's required flags with well-formed values; a flag given again overrides its value.
+_WITH_REQUIRED = {
+    "threefold": ["--ambient", "4"],
+    "chi": ["--preset", "[2] in P4", "--rank", "2", "--c1", "1", "--c2", "1"],
+    "moduli-dim": ["--preset", "[2] in P4", "--rank", "2", "--c1", "1", "--c2", "1"],
+    "ledger": ["--h0-n", "1", "--h0-f", "1", "--h1-ic-zero"],
+    "verify": ["--tensor-formulas"],
+}
+_INTEGER_FLAGS = [(name, flag.name) for name, command in COMMANDS.items()
+                  for flag in command.flags if flag.schema.get("type") == "integer"]
+
+
+@pytest.mark.parametrize("text", ["2_0", "٢", "+2", "02", "2.0"])
+@pytest.mark.parametrize("command, flag", _INTEGER_FLAGS)
+def test_an_integer_flag_reads_only_a_json_integer(capsys, command, flag, text):
+    assert main([command, *_WITH_REQUIRED[command], flag, text]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[0].startswith("SchemaError: "), err
+
+
+def test_an_integral_float_flag_is_refused_as_the_same_config_payload_is(tmp_path, capsys):
+    assert main(["chi", "--preset", "[2] in P4", "--rank", "2.0", "--c1", "1", "--c2", "1"]) == 2
+    flag_line = capsys.readouterr().err.splitlines()[0]
+    config = tmp_path / "request.json"
+    payload = {"preset": "[2] in P4", "rank": 2.0, "c1": ["1"], "c2": ["1"]}
+    config.write_text(json.dumps({"command": "chi", "payload": payload}))
+    assert main(["--config", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == flag_line == "SchemaError: chi: 2.0 is not of type 'integer' (at rank)"
 
 
 # ---------------------------------------------------------------- output errors

@@ -396,6 +396,17 @@ def test_the_witness_recheck_holds_one_block_of_c_at_a_time(monkeypatch, name, k
     assert seen == blocks != witnesses
 
 
+@pytest.mark.parametrize("c_range, message", [
+    ((0, 0.5), "expected an integer, got float 0.5"), ("ab", "expected an integer, got str 'a'"),
+    ((0,), r"expected a pair of integers, got \(0,\)"), ((True, 2), "expected an integer, got bool True"),
+    ((2, 1), r"c_range \[2, 1\] is empty"),
+])
+def test_a_witness_rectangle_checks_its_bounds_as_a_problem_does(c_range, message):
+    for build in (lambda: WitnessRectangle((0, 1), c_range), lambda: DZeroProblem(model("[5] in P4"), (0, 1), c_range)):
+        with pytest.raises(InvalidInput, match=message):
+            build()
+
+
 def test_problem_validation():
     X = model("[2] in P4")
     with pytest.raises(InvalidInput):
