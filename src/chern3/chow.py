@@ -20,6 +20,7 @@ threads.  Integrality of classes is never enforced here; where it matters
 from __future__ import annotations
 
 import itertools
+import sys
 import warnings
 from collections import namedtuple
 from collections.abc import Sequence
@@ -235,11 +236,13 @@ def _warn_if_c2X_outside_lattice(X: Threefold) -> None:
     # None means dependent generators: membership is not decided here.
     if coords is False or (coords and any(x.denominator != 1 for x in coords)):
         kind = "a rational" if coords is False else "an integral"
-        warnings.warn(
-            f"c2X is not {kind} combination of the declared curve lattice",
-            IntegralityWarning,
-            stacklevel=3,
-        )
+        # Name the first frame outside this module and namedtuple's _replace: the line
+        # that called make_threefold, Threefold, _make or _replace.
+        frame, level = sys._getframe(), 1
+        while frame.f_back and frame.f_globals["__name__"] in (__name__, "collections"):
+            frame, level = frame.f_back, level + 1
+        message = f"c2X is not {kind} combination of the declared curve lattice"
+        warnings.warn(message, IntegralityWarning, stacklevel=level)
 
 
 def mul_div_div(X: Threefold, a: DivClass, b: DivClass) -> CurveClass:

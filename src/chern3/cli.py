@@ -250,7 +250,7 @@ def _handle_verify(payload: dict) -> tuple[dict, list[tuple[str, object]]]:
 
 # An integer as JSON writes it; int() would also read "2_0", "+2", "02" and digits such as "١".
 _JSON_INT = r"-?(?:0|[1-9][0-9]*)"
-_INT_FLAG = re.compile(_JSON_INT)
+_DEGREE = re.compile(_JSON_INT)
 _RANGE_FLAG = re.compile(rf"{_JSON_INT}\.\.{_JSON_INT}")
 
 
@@ -270,7 +270,7 @@ def _parse_vector(text: str) -> list[str]:
 def _parse_degrees(text: str) -> list[int]:
     degrees = _parse_vector(text)
     try:
-        if all(map(_INT_FLAG.fullmatch, degrees)):
+        if all(map(_DEGREE.fullmatch, degrees)):
             return [int(d) for d in degrees]
     except ValueError:  # a degree longer than int() reads
         pass

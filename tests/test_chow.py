@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from chern3.chow import (
     CurveClass,
     DivClass,
+    Threefold,
     make_threefold,
     mul_div_div,
     pair_div_curve,
@@ -40,6 +41,20 @@ def test_make_threefold_rejects_asymmetric_form():
          ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))))
     with pytest.raises(AsymmetricForm):
         make_threefold(["a", "b"], T, (1, 0), (0, 0))
+
+
+_ASYMMETRIC = (((0, 1), (0, 0)), ((0, 0), (0, 0)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_threefold(P1_X_P2[0], _ASYMMETRIC, *P1_X_P2[2:]),
+    lambda: Threefold(P1_X_P2[0], _ASYMMETRIC, *P1_X_P2[2:]),
+    lambda: Threefold._make((P1_X_P2[0], _ASYMMETRIC, *P1_X_P2[2:], None)),
+    lambda: make_threefold(*P1_X_P2)._replace(T=_ASYMMETRIC),
+], ids=["make_threefold", "constructor", "_make", "_replace"])
+def test_every_way_in_refuses_an_asymmetric_form(build):
+    with pytest.raises(AsymmetricForm, match=r"^T\[0\]\[0\]\[1\] = 1 but T\[0\]\[1\]\[0\] = 0$"):
+        build()
 
 
 def test_make_threefold_rejects_length_mismatch():
@@ -254,6 +269,21 @@ def test_lattice_check_eliminates_across_two_generators(lattice, message):
         make_threefold(*P1_X_P2, curve_lattice=lattice)
     assert [str(w.message) for w in caught] == ([message] if message else [])
     assert all(w.category is IntegralityWarning for w in caught)
+
+
+_OUTSIDE = (["H"], (((2,),),), (3,), ("1/2",), ((1,),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_threefold(*_OUTSIDE),
+    lambda: Threefold(*_OUTSIDE),
+    lambda: Threefold._make(_OUTSIDE),
+    lambda: make_threefold(*_OUTSIDE[:3], (4,), _OUTSIDE[4])._replace(c2X=_OUTSIDE[3]),
+], ids=["make_threefold", "constructor", "_make", "_replace"])
+def test_lattice_warning_names_the_callers_line(build):
+    with pytest.warns(IntegralityWarning) as caught:
+        build()
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_lattice_consistency_warning():

@@ -23,7 +23,7 @@ from chern3.dzero import (
     WitnessRectangle,
     solve_dzero,
 )
-from chern3.errors import AsymmetricForm, DimensionMismatch, EmptyRoots, InvalidInput
+from chern3.errors import DimensionMismatch, EmptyRoots, InvalidInput
 from chern3.moduli import CohomologyLedger
 from chern3.sheaf import CharacterData, ChernData, to_character
 from chern3.splitting import (
@@ -88,8 +88,7 @@ def _counterexample(rng):
 RECORDS = {
     DivClass: lambda rng: random_div(rng, random_threefold(rng)),
     CurveClass: lambda rng: random_curve(rng, random_threefold(rng)),
-    # Picard rank 2, so that one asymmetric form fits every drawn threefold.
-    Threefold: lambda rng: random_threefold(rng, m=2, zero_c1=rng.random() < 0.3),
+    Threefold: lambda rng: random_threefold(rng, zero_c1=rng.random() < 0.3),
     CIPreset: _preset,
     CharacterData: _character,
     CohomologyLedger: _ledger,
@@ -120,8 +119,9 @@ SLOTS = {DivClass: ("coords",), CurveClass: ("coords",), WitnessRectangle: ("ks"
 
 # For each type that validates: a field, a value it refuses, and the named error.
 REFUSED = {
-    Threefold: [("T", (((0, 1), (0, 0)), ((0, 0), (0, 0))), AsymmetricForm), ("c2X", (1, 2, 3), DimensionMismatch),
-                ("generator_names", ("H\udcff", "g1"), InvalidInput)],
+    # Refused at every drawn Picard rank (1 to 3); names are checked first.  The
+    # asymmetric form, which needs rank 2 or more, is a case in test_chow.py.
+    Threefold: [("c2X", (1, 2, 3, 4), DimensionMismatch), ("generator_names", ("H\udcff",), InvalidInput)],
     CIPreset: [("ambient", 2, InvalidInput), ("degrees", (0,) * 9, InvalidInput),
                ("degrees", "ab", InvalidInput)],
     CharacterData: [("ch0", 1.5, InvalidInput), ("ch1", CurveClass((1,)), InvalidInput)],
