@@ -13,8 +13,13 @@ pieces:
 
 All coefficients are exact rationals and every value is immutable, so the
 operations below are pure functions that can be shared freely between
-threads.  Integrality of classes is never enforced here; where it matters
-(the optional curve lattice) a warning is emitted instead.
+threads.  The products compute on integers: ``Threefold`` keeps its form as
+integer numerators over one common denominator, ``mul_div_div`` and
+``pair_div_curve`` scale each operand's coordinates to integers over their
+least common denominator, and each result coordinate is one ``Fraction``
+built from an integer sum and the product of the denominators.  Integrality
+of classes is never enforced here; where it matters (the optional curve
+lattice) a warning is emitted instead.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import warnings
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import AsymmetricForm, DimensionMismatch, IntegralityWarning, InvalidInput
 from .rationals import SCHEMA_VERSION, rat, rats, require_rational_list
@@ -33,6 +40,19 @@ from .rationals import SCHEMA_VERSION, rat, rats, require_rational_list
 def _check_len(label: str, got: int, want: int) -> None:
     if got != want:
         raise DimensionMismatch(f"{label} has length {got}, expected {want}")
+
+
+def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` as integer numerators over their least common denominator."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _exact(cls: type, coords: tuple[Fraction, ...]) -> _ClassVector:
+    """A ``cls`` over Fractions that arithmetic made: nothing to coerce or check."""
+    self = object.__new__(cls)
+    object.__setattr__(self, "coords", coords)
+    return self
 
 
 class _Frozen:
@@ -104,18 +124,18 @@ class _ClassVector(_Frozen):
 
     def __add__(self, other: _ClassVector) -> _ClassVector:
         self._check_operand(other)
-        return type(self)(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _exact(type(self), tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: _ClassVector) -> _ClassVector:
         self._check_operand(other)
-        return type(self)(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _exact(type(self), tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> _ClassVector:
-        return type(self)(tuple(-a for a in self.coords))
+        return _exact(type(self), tuple(-a for a in self.coords))
 
     def __mul__(self, scalar: int | str | Fraction) -> _ClassVector:
         s = scalar if type(scalar) in (int, Fraction) else rat(scalar)
-        return type(self)(tuple(a * s for a in self.coords))
+        return _exact(type(self), tuple(a * s for a in self.coords))
 
     __rmul__ = __mul__
 
@@ -139,18 +159,21 @@ class Threefold(_Frozen, namedtuple("_Threefold", "generator_names T c1X c2X cur
     checked with a warning, not an error, since intermediate classes are
     genuinely fractional.
 
-    The constructor coerces every field to exact values; a name that is not
-    UTF-8 text is ``InvalidInput``, a length other than m is
+    The constructor coerces every field to exact values; a field of the
+    wrong shape (a string of names, a scalar form or lattice) or a name that
+    is not UTF-8 text is ``InvalidInput``, a length other than m is
     ``DimensionMismatch`` and an asymmetric form ``AsymmetricForm``, through
     ``_make``, ``_replace``, copy and pickle too.  It derives ``m``, the
-    number of generators, ``c1X_is_zero``, whether c1(X) vanishes, and
-    ``chi_O``, the ``todd_genus`` chi(O_X), outside the tuple, so they take
-    no part in ``==``, ``hash`` or ``repr``.
+    number of generators, ``c1X_is_zero``, whether c1(X) vanishes, ``chi_O``,
+    the ``todd_genus`` chi(O_X), and ``T_num`` and ``T_den``, the form as
+    integer numerators over one common denominator, outside the tuple, so
+    they take no part in ``==``, ``hash``, ``repr`` or pickle.
     """
 
     def __new__(cls, generator_names: Sequence[str], T: Sequence[Sequence[Sequence[int | str | Fraction]]],
                 c1X: Sequence[int | str | Fraction] | DivClass, c2X: Sequence[int | str | Fraction] | CurveClass,
                 curve_lattice: Sequence[Sequence[int | str | Fraction] | CurveClass] | None = None) -> Threefold:
+        require_rational_list("generator_names", generator_names, "names")
         names = tuple(str(g) for g in generator_names)
         for name in names:  # a lone surrogate, such as the byte 0xff in argv, cannot be written
             if any("\ud800" <= ch <= "\udfff" for ch in name):
@@ -159,33 +182,45 @@ class Threefold(_Frozen, namedtuple("_Threefold", "generator_names T c1X c2X cur
         if m < 1:
             raise DimensionMismatch("a threefold model needs at least one divisor generator")
 
+        require_rational_list("T", T, "planes")
         _check_len("trilinear form", len(T), m)
         for plane in T:
+            require_rational_list("T", plane, "rows")
             _check_len("trilinear form", len(plane), m)
             for row in plane:
+                require_rational_list("T", row)
                 _check_len("trilinear form", len(row), m)
         form = tuple(tuple(rats(row) for row in plane) for plane in T)
+        den = lcm(*(x.denominator for plane in form for row in plane for x in row))
+        num = tuple(tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in plane)
+                    for plane in form)
         for i, j, k in itertools.product(range(m), repeat=3):
-            base = form[i][j][k]
+            base = num[i][j][k]
             for p, q, r in itertools.permutations((i, j, k)):
-                if form[p][q][r] != base:
-                    raise AsymmetricForm(f"T[{i}][{j}][{k}] = {base} but T[{p}][{q}][{r}] = {form[p][q][r]}")
+                if num[p][q][r] != base:
+                    message = f"T[{i}][{j}][{k}] = {form[i][j][k]} but T[{p}][{q}][{r}] = {form[p][q][r]}"
+                    raise AsymmetricForm(message)
 
         div, curve = DivClass.of(c1X), CurveClass.of(c2X)
         _check_len("c1X", len(div), m)
         _check_len("c2X", len(curve), m)
 
+        if curve_lattice is not None:
+            require_rational_list("curve_lattice", curve_lattice, "curve classes")
         lattice = None if curve_lattice is None else tuple(CurveClass.of(g) for g in curve_lattice)
         for gen in lattice or ():
             _check_len("curve lattice generator", len(gen), m)
 
         self = tuple.__new__(cls, (names, form, div, curve, lattice))
-        vars(self).update(m=m, c1X_is_zero=div.is_zero)
+        vars(self).update(m=m, c1X_is_zero=div.is_zero, T_num=num, T_den=den)
         vars(self)["chi_O"] = todd_genus(self)  # reads m
         _warn_if_c2X_outside_lattice(self)
         return self
 
     _make = classmethod(lambda cls, it: cls(*it))
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through the constructor, derived fields too
+        return type(self), tuple(self)
 
 
 def make_threefold(generators, T, c1X, c2X, curve_lattice=None) -> Threefold:
@@ -249,23 +284,20 @@ def mul_div_div(X: Threefold, a: DivClass, b: DivClass) -> CurveClass:
     """Intersection product of two divisor classes, as a curve class."""
     _check_len("divisor class", len(a), X.m)
     _check_len("divisor class", len(b), X.m)
-    pairings = []
-    for i in range(X.m):
-        total = Fraction(0)
-        for j in range(X.m):
-            if a.coords[j] == 0:
-                continue
-            for k in range(X.m):
-                total += a.coords[j] * b.coords[k] * X.T[j][k][i]
-        pairings.append(total)
-    return CurveClass(tuple(pairings))
+    (A, da), (B, db) = _over_lcm(a.coords), _over_lcm(b.coords)
+    den = da * db * X.T_den
+    # The i-th pairing sums a_j b_k T[j][k][i]; T is symmetric, so it reads T[i][j][k].
+    return _exact(CurveClass, tuple(
+        Fraction(sum(x * sum(map(mul, B, row)) for x, row in zip(A, plane) if x), den) for plane in X.T_num
+    ))
 
 
 def pair_div_curve(X: Threefold, a: DivClass, q: CurveClass) -> Fraction:
     """Intersection number of a divisor class with a curve class."""
     _check_len("divisor class", len(a), X.m)
     _check_len("curve class", len(q), X.m)
-    return sum((ai * qi for ai, qi in zip(a.coords, q.coords)), Fraction(0))
+    (A, da), (Q, dq) = _over_lcm(a.coords), _over_lcm(q.coords)
+    return Fraction(sum(map(mul, A, Q)), da * dq)
 
 
 def triple(X: Threefold, a: DivClass, b: DivClass, c: DivClass) -> Fraction:

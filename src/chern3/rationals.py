@@ -45,9 +45,10 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, str):
         if not _RAT_RE.fullmatch(value):
             raise InvalidInput(f"cannot parse rational {value!r}: expected 'p/q' or 'n'")
-        if 0 < MAX_DIGITS < len(value) and max(map(len, value.lstrip("-").split("/"))) > MAX_DIGITS:
+        num, _, den = value.partition("/")
+        if 0 < MAX_DIGITS < len(value) and max(len(num.lstrip("-")), len(den)) > MAX_DIGITS:
             raise InvalidInput(f"rational of {len(value)} characters has more than {MAX_DIGITS} digits")
-        return Fraction(value)
+        return Fraction(int(num), int(den or 1))  # the pattern has parsed it: Fraction(value) would again
     raise InvalidInput(f"expected int, 'p/q' string or Fraction, got {type(value).__name__}")
 
 
@@ -58,11 +59,11 @@ def require_ints(name: str, *values: object) -> None:
             raise InvalidInput(f"{name}: expected an integer, got {type(value).__name__} {value!r}")
 
 
-def require_rational_list(name: str, values: object) -> None:
+def require_rational_list(name: str, values: object, items: str = "rationals") -> None:
     """Raise InvalidInput unless ``values`` is an iterable other than a string:
     a string or bytes would be split into digits, "12" read as (1, 2)."""
     if isinstance(values, (str, bytes, bytearray)) or not hasattr(values, "__iter__"):
-        raise InvalidInput(f"{name}: expected a sequence of rationals, got {values!r}")
+        raise InvalidInput(f"{name}: expected a sequence of {items}, got {values!r}")
 
 
 def rats(values: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:

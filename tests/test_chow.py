@@ -1,3 +1,5 @@
+import itertools
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -55,6 +57,35 @@ _ASYMMETRIC = (((0, 1), (0, 0)), ((0, 0), (0, 0)))
 def test_every_way_in_refuses_an_asymmetric_form(build):
     with pytest.raises(AsymmetricForm, match=r"^T\[0\]\[0\]\[1\] = 1 but T\[0\]\[1\]\[0\] = 0$"):
         build()
+
+
+# Symmetric forms at Picard rank 2 and 3 with one entry changed, and the first
+# unequal pair the symmetry check names, in its loop order.
+@pytest.mark.parametrize("m, entries, changed, message", [
+    (2, {(0, 1, 1): 1}, {(1, 0, 1): "1/2"}, "T[0][1][1] = 1 but T[1][0][1] = 1/2"),
+    (2, {(0, 0, 1): "2/3", (1, 1, 1): 5}, {(1, 0, 0): "-2/3"}, "T[0][0][1] = 2/3 but T[1][0][0] = -2/3"),
+    (3, {(0, 1, 2): "3/4", (2, 2, 2): 1}, {(2, 1, 0): "3/5"}, "T[0][1][2] = 3/4 but T[2][1][0] = 3/5"),
+    (3, {(1, 1, 2): 2, (0, 0, 0): "1/2"}, {(2, 1, 1): 3}, "T[1][1][2] = 2 but T[2][1][1] = 3"),
+])
+def test_an_asymmetric_form_names_its_first_unequal_entries(m, entries, changed, message):
+    T = [[[entries.get(tuple(sorted((i, j, k))), 0) for k in range(m)] for j in range(m)] for i in range(m)]
+    for (i, j, k), value in changed.items():
+        T[i][j][k] = value
+    with pytest.raises(AsymmetricForm, match=f"^{re.escape(message)}$"):
+        Threefold([f"g{i}" for i in range(m)], T, (1,) * m, (0,) * m)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((5, (((1,),),), (1,), (1,)), "generator_names: expected a sequence of names, got 5"),
+    (("Hx", P1_X_P2[1], (1, 1), (1, 1)), "generator_names: expected a sequence of names, got 'Hx'"),
+    ((["H"], 5, (1,), (1,)), "T: expected a sequence of planes, got 5"),
+    ((["H"], (5,), (1,), (1,)), "T: expected a sequence of rows, got 5"),
+    ((["H"], (("1",),), (1,), (1,)), "T: expected a sequence of rationals, got '1'"),
+    ((["H"], (((1,),),), (1,), (1,), 5), "curve_lattice: expected a sequence of curve classes, got 5"),
+])
+def test_a_field_of_the_wrong_shape_is_refused_by_name(fields, message):
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        Threefold(*fields)
 
 
 def test_make_threefold_rejects_length_mismatch():
@@ -177,6 +208,44 @@ def test_class_vectors_coerce_every_coordinate_and_scalar_to_a_fraction(values, 
                 build(bad)
 
 
+# Rationals with denominators, drawn as conftest.random_rat draws them.
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def threefold_with_classes(draw):
+    """A threefold of Picard rank 1 to 3, three divisor classes and a curve class on it."""
+    m = draw(st.integers(1, 3))
+    vector = st.tuples(*[small_rationals] * m)
+    entries = {idx: draw(small_rationals) for idx in itertools.combinations_with_replacement(range(m), 3)}
+    T = [[[entries[tuple(sorted((i, j, k)))] for k in range(m)] for j in range(m)] for i in range(m)]
+    X = Threefold([f"g{i}" for i in range(m)], T, draw(vector), draw(vector))
+    return X, *(DivClass(draw(vector)) for _ in range(3)), CurveClass(draw(vector))
+
+
+@given(threefold_with_classes())
+def test_products_equal_the_textbook_fraction_sums(drawn):
+    X, a, b, c, q = drawn
+    R = range(X.m)
+    a, b, c, q = a.coords, b.coords, c.coords, q.coords
+    product = mul_div_div(X, DivClass(a), DivClass(b))
+    assert type(product) is CurveClass and all(type(x) is Fraction for x in product.coords)
+    assert product.coords == tuple(sum((a[j] * b[k] * X.T[j][k][i] for j in R for k in R), Fraction(0)) for i in R)
+    pairing = pair_div_curve(X, DivClass(a), CurveClass(q))
+    assert type(pairing) is Fraction and pairing == sum((x * y for x, y in zip(a, q)), Fraction(0))
+    number = triple(X, DivClass(a), DivClass(b), DivClass(c))
+    terms = (a[i] * b[j] * c[k] * X.T[i][j][k] for i in R for j in R for k in R)
+    assert type(number) is Fraction and number == sum(terms, Fraction(0))
+    assert X.chi_O == sum((x * y for x, y in zip(X.c1X.coords, X.c2X.coords)), Fraction(0)) / 24
+    # Vector arithmetic builds its result from Fractions without coercing them again.
+    for cls, u, v in ((DivClass, a, b), (CurveClass, q, c)):
+        for result, want in ((cls(u) + cls(v), map(Fraction.__add__, u, v)),
+                             (cls(u) - cls(v), map(Fraction.__sub__, u, v)),
+                             (-cls(u), (-x for x in u)), (cls(u) * 3, (x * 3 for x in u))):
+            assert type(result) is cls and result.coords == tuple(want)
+            assert all(type(x) is Fraction for x in result.coords)
+
+
 def test_triple_permutation_invariance():
     rng = random.Random(7)
     for _ in range(40):
@@ -231,11 +300,16 @@ def test_derived_fields_follow_the_generators_and_c1X(quintic):
             assert Y.chi_O == todd_genus(Y)
         assert flipped.c1X_is_zero != X.c1X_is_zero
         assert again == X and hash(again) == hash(X) and threefold_to_json(again) == doc
-        # The derived fields take no part in == or hash.
+        # The derived fields take no part in ==, hash, repr or pickle.
+        derived = ("m", "c1X_is_zero", "chi_O", "T_num", "T_den")
         object.__setattr__(again, "m", X.m + 1)
         object.__setattr__(again, "c1X_is_zero", not X.c1X_is_zero)
         object.__setattr__(again, "chi_O", X.chi_O + 1)
+        object.__setattr__(again, "T_num", ())
+        object.__setattr__(again, "T_den", 0)
         assert again == X and hash(again) == hash(X) and repr(again) == repr(X)
+        twin = pickle.loads(pickle.dumps(again))
+        assert [getattr(twin, name) for name in derived] == [getattr(X, name) for name in derived]
 
 
 @pytest.mark.parametrize("key", ["generators", "T", "c1X", "c2X"])

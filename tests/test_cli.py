@@ -32,7 +32,7 @@ from chern3.cli import (
 )
 from chern3.dzero import Condition, DZeroReport, Normalized, Obstruction, WitnessRectangle
 from chern3.errors import InvalidInput, SchemaError, SelfCheckFailed
-from chern3.rationals import MAX_DIGITS, rat
+from chern3.rationals import MAX_DIGITS, RAT_PATTERN, rat
 from chern3.sheaf import ChernData, euler_char
 from chern3.splitting import (
     Counterexample,
@@ -181,6 +181,40 @@ def test_rat_accepts_the_wire_pattern(value, want):
     assert rat(value) == want
     if isinstance(value, str):
         assert jsonschema.Draft202012Validator(_RAT).is_valid(value)
+
+
+NEEDS_CAP = pytest.mark.skipif(not MAX_DIGITS, reason="Python < 3.10.7 caps no int conversion")
+
+
+# The strings RAT_PATTERN accepts, written without its anchors and newline guard.
+@given(st.from_regex(r"-?[0-9]+(/[1-9][0-9]*)?", fullmatch=True))
+@example("-0")
+@example("007")
+@example("6/4")
+@example("-0/5")
+def test_rat_reads_every_wire_string_as_fraction_does(text):
+    assert re.fullmatch(RAT_PATTERN, text)
+    value = rat(text)
+    assert type(value) is Fraction and value == Fraction(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "cannot parse rational '1/0': expected 'p/q' or 'n'"),
+    ("7\n", "cannot parse rational '7\\n': expected 'p/q' or 'n'"),
+    pytest.param("1/" + "9" * (MAX_DIGITS + 1), f"rational of {MAX_DIGITS + 3} characters has more than "
+                 f"{MAX_DIGITS} digits", marks=NEEDS_CAP, id="long denominator"),
+    pytest.param("-" + "9" * (MAX_DIGITS + 1), f"rational of {MAX_DIGITS + 2} characters has more than "
+                 f"{MAX_DIGITS} digits", marks=NEEDS_CAP, id="long numerator"),
+])
+def test_rat_refuses_with_the_pattern_and_digit_cap_messages(text, message):
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        rat(text)
+
+
+@NEEDS_CAP
+def test_rat_reads_a_rational_at_the_digit_cap():
+    text = "-" + "9" * MAX_DIGITS + "/" + "7" * MAX_DIGITS
+    assert rat(text) == Fraction(text)
 
 
 def test_a_trailing_newline_is_not_a_rational(capsys):
@@ -706,7 +740,6 @@ def test_main_bad_json_flags_are_schema_errors(tmp_path, capsys):
     assert capsys.readouterr().err == "SchemaError: --f: expected a JSON object\n"
 
 
-NEEDS_CAP = pytest.mark.skipif(not MAX_DIGITS, reason="Python < 3.10.7 caps no int conversion")
 NINES = "9" * 5000
 CHI_FLAGS = ["--rank", "2", "--c1", "1", "--c2", "1"]
 LONG_CONFIG = f'{{"command": "chi", "payload": {{"preset": "[2] in P4", "rank": {NINES}, "c1": [1], "c2": [1]}}}}'

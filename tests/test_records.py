@@ -121,7 +121,9 @@ SLOTS = {DivClass: ("coords",), CurveClass: ("coords",), WitnessRectangle: ("ks"
 REFUSED = {
     # Refused at every drawn Picard rank (1 to 3); names are checked first.  The
     # asymmetric form, which needs rank 2 or more, is a case in test_chow.py.
-    Threefold: [("c2X", (1, 2, 3, 4), DimensionMismatch), ("generator_names", ("H\udcff",), InvalidInput)],
+    Threefold: [("c2X", (1, 2, 3, 4), DimensionMismatch), ("generator_names", ("H\udcff",), InvalidInput),
+                ("generator_names", 5, InvalidInput), ("generator_names", "Hx", InvalidInput),
+                ("T", 5, InvalidInput), ("curve_lattice", 5, InvalidInput)],
     CIPreset: [("ambient", 2, InvalidInput), ("degrees", (0,) * 9, InvalidInput),
                ("degrees", "ab", InvalidInput)],
     CharacterData: [("ch0", 1.5, InvalidInput), ("ch1", CurveClass((1,)), InvalidInput)],
