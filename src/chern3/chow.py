@@ -99,15 +99,18 @@ class _ClassVector(_Frozen):
         return cls((Fraction(0),) * m)
 
     @classmethod
-    def of(cls, value: _ClassVector | Sequence[int | str | Fraction]) -> _ClassVector:
+    def of(cls, value: _ClassVector | Sequence[int | str | Fraction], name: str | None = None) -> _ClassVector:
         """``value`` itself if it is a ``cls`` already, else a ``cls`` with its coordinates.
 
-        A class of the other codimension is an error, as it is for ``+``.
+        A class of the other codimension is an error, as it is for ``+``;
+        a value that is not a sequence is refused naming ``name``, if given.
         """
         if isinstance(value, cls):
             return value
         if isinstance(value, _ClassVector):
             raise InvalidInput(f"cannot use {type(value).__name__} as {cls.__name__}")
+        if name and type(value) is not tuple:
+            require_rational_list(name, value)
         return cls(value)
 
     def __len__(self) -> int:
@@ -201,13 +204,14 @@ class Threefold(_Frozen, namedtuple("_Threefold", "generator_names T c1X c2X cur
                     message = f"T[{i}][{j}][{k}] = {form[i][j][k]} but T[{p}][{q}][{r}] = {form[p][q][r]}"
                     raise AsymmetricForm(message)
 
-        div, curve = DivClass.of(c1X), CurveClass.of(c2X)
+        div, curve = DivClass.of(c1X, "c1X"), CurveClass.of(c2X, "c2X")
         _check_len("c1X", len(div), m)
         _check_len("c2X", len(curve), m)
 
         if curve_lattice is not None:
             require_rational_list("curve_lattice", curve_lattice, "curve classes")
-        lattice = None if curve_lattice is None else tuple(CurveClass.of(g) for g in curve_lattice)
+        lattice = (None if curve_lattice is None
+                   else tuple(CurveClass.of(g, "curve_lattice") for g in curve_lattice))
         for gen in lattice or ():
             _check_len("curve lattice generator", len(gen), m)
 

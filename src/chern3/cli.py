@@ -15,9 +15,10 @@ is not exact, a float say, with ``SelfCheckFailed``.  A report is rendered,
 and so checked, in full before ``--out`` is opened or a byte written; then
 it is written in chunks, int rows such as dzero witnesses a row at a time.
 
-The schemas are checked by ``chern3.checker``, which reads exactly the
-keywords they use and gives jsonschema's messages; building the schema
-table fails on any other keyword, and no request imports jsonschema.
+The schemas are compiled once, at import, by ``chern3.checker``, which
+reads exactly the keywords they use and gives jsonschema's messages;
+building the schema table fails on any other keyword, and no request
+imports jsonschema.
 
 Each command is defined once, as a ``COMMANDS`` entry; the payload schemas,
 the argparse subcommands and the mapping from flags to payload are built
@@ -38,7 +39,7 @@ import re
 import sys
 import warnings
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import partial
 from itertools import chain, islice
@@ -440,7 +441,8 @@ COMMANDS: dict[str, Command] = {
 }
 
 
-def _payload_schema(command: Command) -> dict:
+def _payload_schema(command: Command) -> tuple[dict, Callable]:
+    """A command's payload schema and its compiled checker."""
     flags = [flag for flag in command.flags if flag.key]
     schema = _object(
         {"schema": _VERSION, **{flag.key: flag.schema for flag in flags}},
@@ -448,12 +450,13 @@ def _payload_schema(command: Command) -> dict:
     )
     if command.rules:
         schema["allOf"] = [rule for _, rule in command.rules]
-    return checker.supported(schema)
+    return schema, checker.compile(schema)
 
 
-PAYLOAD_SCHEMAS: dict[str, dict] = {name: _payload_schema(c) for name, c in COMMANDS.items()}
+_PAYLOADS = {name: _payload_schema(c) for name, c in COMMANDS.items()}
+PAYLOAD_SCHEMAS: dict[str, dict] = {name: schema for name, (schema, _) in _PAYLOADS.items()}
 
-REQUEST_SCHEMA = checker.supported(_object(
+REQUEST_SCHEMA = _object(
     {
         "schema": _VERSION,
         "command": {"enum": sorted(PAYLOAD_SCHEMAS)},
@@ -461,7 +464,8 @@ REQUEST_SCHEMA = checker.supported(_object(
         "output_mode": {"enum": ["table", "json"]},
     },
     ["command", "payload"],
-))
+)
+_CHECK_REQUEST = checker.compile(REQUEST_SCHEMA)
 
 
 def _schema_message(exc: object) -> str:
@@ -471,17 +475,19 @@ def _schema_message(exc: object) -> str:
     return f"{exc.message}" + (f" (at {path})" if path else "")
 
 
-def _best_match(schema: dict, doc: object, label: str) -> checker.Violation | None:
+def _best_match(check: Callable, doc: object, label: str) -> checker.Violation | None:
     try:
-        return checker.best_match(schema, doc)
+        return checker.most_relevant(check(doc))
     except RecursionError:  # decoded, but too deep for an error message's repr
         raise SchemaError(f"{label}: JSON nested too deeply") from None
+    except ValueError:  # an int longer than an error message's repr writes
+        raise SchemaError(f"{label}: a number has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def validate_payload(command: str, payload: dict) -> None:
-    if command not in PAYLOAD_SCHEMAS:
+    if command not in _PAYLOADS:
         raise SchemaError(f"unknown command {command!r}")
-    error = _best_match(PAYLOAD_SCHEMAS[command], payload, command)
+    error = _best_match(_PAYLOADS[command][1], payload, command)
     if error is None:
         return
     # An error inside allOf[i] breaks the command's rule i: name it as the CLI does.
@@ -494,7 +500,7 @@ def validate_payload(command: str, payload: dict) -> None:
 def load_config(path: str | os.PathLike) -> Request:
     """Parse a request document from a JSON file, rejecting unknown keys."""
     doc = _read_json(str(path), path)
-    error = _best_match(REQUEST_SCHEMA, doc, str(path))
+    error = _best_match(_CHECK_REQUEST, doc, str(path))
     if error is not None:
         raise SchemaError(f"{path}: {_schema_message(error)}")
     return Request(doc["command"], doc["payload"], doc.get("output_mode", "table"))

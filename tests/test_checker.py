@@ -1,6 +1,7 @@
 """The built-in schema checker against jsonschema, which stays the oracle."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -12,8 +13,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import chern3
 from chern3 import checker
-from chern3.cli import (COMMANDS, PAYLOAD_SCHEMAS, REQUEST_SCHEMA, Command, Flag, Request, _payload_schema,
-                        _schema_message, response_json, response_table, run)
+from chern3.cli import (COMMANDS, PAYLOAD_SCHEMAS, REQUEST_SCHEMA, Command, Flag, Request, _parse_range,
+                        _payload_schema, _schema_message, main, response_json, response_table, run)
 from chern3.errors import Chern3Error
 
 SCHEMAS = {**PAYLOAD_SCHEMAS, "request": REQUEST_SCHEMA}
@@ -145,6 +146,21 @@ def test_checker_yields_every_error_in_schema_order(command, payload):
     assert errors(checker.iter_errors(schema, payload)) == errors(ORACLES[command].iter_errors(payload))
 
 
+def every_error(found):
+    """Each error's message, paths and keyword, but not those at an integral float."""
+    return [(e.message, list(e.absolute_path), list(e.absolute_schema_path), e.validator)
+            for e in found if not has_integral_float(e.instance)]
+
+
+@pytest.mark.parametrize("name", SCHEMAS)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_checker_yields_every_error_in_schema_order_on_drawn_instances(name, data):
+    instance = data.draw(near(SCHEMAS[name]))
+    expected = every_error(ORACLES[name].iter_errors(instance))
+    assert every_error(checker.iter_errors(SCHEMAS[name], instance)) == expected
+
+
 # With site, a .pth file may import typing, pathlib or contextlib before chern3
 # does; under -S only what chern3 itself imports is loaded.
 @pytest.mark.parametrize("flags, unused", [
@@ -181,7 +197,7 @@ def test_an_unsupported_keyword_fails_when_the_schema_table_is_built():
 ])
 def test_supported_rejects_what_the_checker_would_not_enforce(schema, message):
     with pytest.raises(ValueError, match=message):
-        checker.supported(schema)
+        checker.compile(schema)
 
 
 # Small enough that each drawn verify request stays cheap.  Both keys are
@@ -225,3 +241,48 @@ def test_no_schema_valid_payload_ends_in_a_traceback(monkeypatch, command):
 
     check()
     assert drawn, f"no schema-valid {command} payload was drawn"
+
+
+def flag_text(flag, value):
+    """``value`` written as the text that ``flag``'s parser reads."""
+    if flag.parse is _parse_range:
+        return "%d..%d" % tuple(value)
+    if type(value) is list:  # a vector or the degrees
+        return ",".join(map(str, value))
+    return json.dumps(value) if type(value) is dict else str(value)
+
+
+def as_argv(command, payload):
+    """The command line that fills ``payload`` but its version, or None if no flags fill it."""
+    argv = [command]
+    for key, value in payload.items():
+        if key == "schema":  # a document's version, which no flag sets
+            continue
+        flags = [f for f in COMMANDS[command].flags if f.key == key and f.const in (None, value)]
+        if not flags:  # h1_IC_zero false
+            return None
+        flag = flags[0]
+        argv += [flag.name] if flag.name.startswith("-") else []
+        argv += [] if flag.const is not None else [flag_text(flag, value)]
+    return argv
+
+
+@pytest.mark.parametrize("command", PAYLOAD_SCHEMAS)
+def test_flags_and_a_config_document_give_one_answer(monkeypatch, tmp_path, capsys, command):
+    monkeypatch.setenv("CHERN3_MAX_ENUM", "500")
+    config = tmp_path / "request.json"
+
+    def answer(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err.split("\n")[0]
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(payload=valid_payloads(PAYLOAD_SCHEMAS[command]), mode=st.sampled_from(["table", "json"]))
+    def check(payload, mode):
+        argv = as_argv(command, payload)
+        assume(argv is not None)
+        config.write_text(json.dumps({"command": command, "payload": payload, "output_mode": mode}))
+        assert answer(argv + ["--json"] * (mode == "json")) == answer(["--config", str(config)])
+
+    check()

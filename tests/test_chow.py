@@ -82,6 +82,9 @@ def test_an_asymmetric_form_names_its_first_unequal_entries(m, entries, changed,
     ((["H"], (5,), (1,), (1,)), "T: expected a sequence of rows, got 5"),
     ((["H"], (("1",),), (1,), (1,)), "T: expected a sequence of rationals, got '1'"),
     ((["H"], (((1,),),), (1,), (1,), 5), "curve_lattice: expected a sequence of curve classes, got 5"),
+    ((["H"], (((1,),),), 5, (1,)), "c1X: expected a sequence of rationals, got 5"),
+    ((["H"], (((1,),),), (1,), "x"), "c2X: expected a sequence of rationals, got 'x'"),
+    ((["H"], (((1,),),), (1,), (1,), (5,)), "curve_lattice: expected a sequence of rationals, got 5"),
 ])
 def test_a_field_of_the_wrong_shape_is_refused_by_name(fields, message):
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):

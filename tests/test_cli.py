@@ -774,6 +774,18 @@ def test_malformed_text_input_is_a_named_error_not_a_traceback(tmp_path, capsys,
     assert (out, err) == ("", message.replace("PATH", str(path)) + "\n")
 
 
+@NEEDS_CAP
+@pytest.mark.parametrize("command, payload", [
+    ("verify", {"tensor_formulas": True, "max_rank": 10**5000}),
+    ("ledger", {"h0_N": -10**5000, "h0_F": 1}),
+])
+def test_an_out_of_range_integer_past_the_digit_cap_is_a_schema_error(command, payload):
+    # Its schema message would write the integer, which int's digit cap refuses.
+    message = f"{command}: a number has more than {sys.get_int_max_str_digits()} digits"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        run(Request(command, payload, "json"))
+
+
 @pytest.mark.parametrize("depth", [500, 950, 980, 990, 999])
 def test_a_document_nested_nearly_as_deep_as_the_decoder_reads_is_a_schema_error(capsys, depth):
     # The decoder may read it, and then an error message's repr may not.

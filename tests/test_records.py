@@ -123,7 +123,8 @@ REFUSED = {
     # asymmetric form, which needs rank 2 or more, is a case in test_chow.py.
     Threefold: [("c2X", (1, 2, 3, 4), DimensionMismatch), ("generator_names", ("H\udcff",), InvalidInput),
                 ("generator_names", 5, InvalidInput), ("generator_names", "Hx", InvalidInput),
-                ("T", 5, InvalidInput), ("curve_lattice", 5, InvalidInput)],
+                ("T", 5, InvalidInput), ("curve_lattice", 5, InvalidInput), ("c1X", 5, InvalidInput),
+                ("c2X", "x", InvalidInput), ("curve_lattice", (5,), InvalidInput)],
     CIPreset: [("ambient", 2, InvalidInput), ("degrees", (0,) * 9, InvalidInput),
                ("degrees", "ab", InvalidInput)],
     CharacterData: [("ch0", 1.5, InvalidInput), ("ch1", CurveClass((1,)), InvalidInput)],
