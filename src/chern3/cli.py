@@ -26,8 +26,9 @@ from that table, so CLI and JSON requests cannot drift apart either.
 
 Exit codes: 0 ok, 1 domain error (or a failing verification suite),
 2 schema error, such as input that is not UTF-8, JSON nested too deeply or
-a number longer than int() reads.  ``main`` reads a request under that cap
-on digits, then lifts it, so a result of any length is written exactly.
+a number longer than int() reads.  A request is read under that cap on
+digits; ``run`` and the renderers lift it, so a result of any length is
+written exactly.
 """
 
 from __future__ import annotations
@@ -506,10 +507,26 @@ def load_config(path: str | os.PathLike) -> Request:
     return Request(doc["command"], doc["payload"], doc.get("output_mode", "table"))
 
 
+class _any_length:
+    """Lift int's digit cap in a ``with`` block, so a result of any length is
+    written in full, and put it back after.  A class: ``contextlib`` costs a
+    fresh process an import."""
+
+    def __enter__(self) -> None:
+        self.digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no cap, as before Python 3.10.7
+        if self.digits:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc: object) -> None:
+        if self.digits:
+            sys.set_int_max_str_digits(self.digits)
+
+
 def run(request: Request) -> Response:
-    """Validate, dispatch, and collect warnings into the response data."""
+    """Validate under the digit cap, then dispatch without it and collect
+    warnings into the response data."""
     validate_payload(request.command, request.payload)
-    with warnings.catch_warnings(record=True) as caught:
+    with _any_length(), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         data, audit = COMMANDS[request.command].handler(request.payload)
     messages = sorted({str(w.message) for w in caught})
@@ -697,11 +714,13 @@ def _table_chunks(response: Response) -> Iterator[str]:
 
 
 def response_json(response: Response) -> str:
-    return "".join(_json_chunks(response))
+    with _any_length():
+        return "".join(_json_chunks(response))
 
 
 def response_table(response: Response) -> str:
-    return "".join(_table_chunks(response))
+    with _any_length():
+        return "".join(_table_chunks(response))
 
 
 # Rationals, vectors and ranges may start with "-".
@@ -786,7 +805,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(_merge_negative_values(argv))
-    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no cap, as before Python 3.10.7
 
     try:
         if args.config:
@@ -800,20 +818,19 @@ def main(argv: list[str] | None = None) -> int:
                 parser.print_help()
                 return 2
             request = _payload_from_args(args)
-        if digits:  # the request is read: write results of any length
-            sys.set_int_max_str_digits(0)
         response = run(request)
-        chunks = _json_chunks(response) if request.output_mode == "json" else _table_chunks(response)
-        # next() renders, so checks, the whole report before --out is opened or a byte written.
-        chunks = chain([next(chunks)], chunks, ["\n"])
-        stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-        try:
-            for chunk in chunks:  # a chunk at a time, so the report is never one string
-                stream.write(chunk)
-            stream.flush()
-        finally:
-            if args.out:
-                stream.close()
+        with _any_length():
+            chunks = _json_chunks(response) if request.output_mode == "json" else _table_chunks(response)
+            # next() renders, so checks, the whole report before --out is opened or a byte written.
+            chunks = chain([next(chunks)], chunks, ["\n"])
+            stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+            try:
+                for chunk in chunks:  # a chunk at a time, so the report is never one string
+                    stream.write(chunk)
+                stream.flush()
+            finally:
+                if args.out:
+                    stream.close()
     except SchemaError as exc:
         print(f"SchemaError: {exc}", file=sys.stderr)
         return 2
@@ -823,9 +840,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"IOError: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if digits:
-            sys.set_int_max_str_digits(digits)
 
     if response.data.get("ok") is False:
         return 1

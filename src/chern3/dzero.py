@@ -129,16 +129,12 @@ class WitnessRectangle(_Frozen):
     immutable, and it equals and hashes by its ranges ``ks`` and ``cs``, so
     hashing costs no pair; it equals no tuple.  ``len`` takes constant time,
     and iteration, which is how a report is written, makes each pair by
-    ``itertools.product``.  ``product`` copies the ranges it crosses, so it
-    crosses ``ks`` and ``cs`` at once only while neither is longer than
-    ``_RECHECK_COLUMNS``.  A larger rectangle is crossed a few rows at a
-    time, whole rows when a row has at most ``_RECHECK_COLUMNS`` points and
-    one row's block of that many c's otherwise: no such cross yields more
-    than ``_RECHECK_COLUMNS`` pairs, and iterating a one-row or one-column
-    rectangle of 10^6 points never holds all of its values.  (The one
-    ``product`` is kept for the smaller rectangles because ``chain`` costs
-    each pair of a report a little: on CPython 3.11 a 5,040-point report's
-    JSON renders 1.7% slower through it.)
+    ``itertools.product``.  ``product`` copies the ranges it crosses, so the
+    rectangle is crossed a few rows at a time: whole rows when a row has at
+    most ``_RECHECK_COLUMNS`` points, and one row's block of that many c's
+    otherwise.  No cross yields more than ``_RECHECK_COLUMNS`` pairs, and
+    iterating a one-row or one-column rectangle of 10^6 points never holds
+    all of its values.
     """
 
     __slots__ = ("ks", "cs")
@@ -154,8 +150,6 @@ class WitnessRectangle(_Frozen):
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         ks, cs = self.ks, self.cs
-        if len(ks) <= _RECHECK_COLUMNS and len(cs) <= _RECHECK_COLUMNS:
-            return product(ks, cs)
         rows = max(1, _RECHECK_COLUMNS // len(cs))  # 1 exactly when a row takes more than one block
         blocks = [cs[i:i + _RECHECK_COLUMNS] for i in range(0, len(cs), _RECHECK_COLUMNS)]
         return chain.from_iterable(
@@ -316,16 +310,6 @@ def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport
         )
     modulus = A or 1
     residues = tuple(_residues(B, E, modulus))
-    # The solver's zeros in each row of k: the whole c range when A = 0, else at most one c.
-    ks, whole = range(k_lo, k_hi + 1), range(c_lo, c_hi + 1)
-    rows: list[range | list[int]] = []
-    for k in ks:
-        if not A:
-            rows.append(whole)
-        else:
-            c, rest = divmod(-(B * k * k + E), A)
-            rows.append([c] if rest == 0 and c in whole else [])
-
     obstruction = None
     if not residues:
         # No residue means A >= 2, since modulo 1 the residue 0 always exists,
@@ -339,35 +323,37 @@ def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport
             else f"no residue k (mod {q}) satisfies {B}k^2 + {E} = 0 (mod {q})",
         )
 
-    for grid_row, row in zip(_grid_rows(a, b, e, problem.k_range, problem.c_range), rows):
+    # One pass over the rows of k.  A row's zeros by the solver, the whole c
+    # range when A = 0 and else at most one c, must be the grid's; when
+    # A != 0 the row's witness then goes through expected_dim and is kept.
+    generator = X.curve_lattice[0]  # DZeroProblem checked it
+    ks, whole, c3, pairs = range(k_lo, k_hi + 1), range(c_lo, c_hi + 1), Fraction(0), []
+    for k, grid_row in zip(ks, _grid_rows(a, b, e, problem.k_range, problem.c_range)):
+        row = whole
+        if A:
+            c, rest = divmod(-(B * k * k + E), A)
+            row = [c] if rest == 0 and c in whole else []
         if grid_row != row and list(grid_row) != list(row):  # a range and a list may hold the same c
             raise SelfCheckFailed(
                 "dzero grid check", "exhaustive enumeration disagrees with the congruence solver"
             )
-
-    # Every witness goes through expected_dim, block by block of at most
-    # _RECHECK_COLUMNS values of c, and in (k, c) order within a block.  A
-    # block's curve classes are built once and dropped with it, so a wide
-    # row holds no class per c; compress stops at the first witness whose
-    # dimension is not 0.
-    generator = _require_line_lattice(X)
-    c3 = Fraction(0)
-    for start in range(0, len(whole), _RECHECK_COLUMNS):
-        block = whole[start:start + _RECHECK_COLUMNS]
-        cuts = rows if block == whole else [
-            block if row is whole else [c for c in row if c in block] for row in rows]
-        curves = {c: generator * c for c in (block if not A else {c for cut in cuts for c in cut})}
-        for k, cut in zip(ks, cuts):
-            if cut:
-                c1 = DivClass((k,))
-                sheaves = map(ChernData, repeat(2), repeat(c1), map(curves.__getitem__, cut), repeat(c3))
-                bad = next(compress(cut, map(expected_dim, repeat(X), sheaves)), None)
+        if A and row:
+            if expected_dim(X, ChernData(2, DivClass((k,)), generator * c, c3)):
+                raise SelfCheckFailed("dzero witness check", f"witness ({k}, {c}) fails re-evaluation")
+            pairs.append((k, c))
+    # When A = 0 every point is a witness.  They go through expected_dim block
+    # by block of at most _RECHECK_COLUMNS values of c, whose curve classes are
+    # built once, and in (k, c) order within a block; compress stops at the
+    # first whose dimension is not 0.
+    if not A:
+        for start in range(0, len(whole), _RECHECK_COLUMNS):
+            block = whole[start:start + _RECHECK_COLUMNS]
+            curves = [generator * c for c in block]
+            for k in ks:
+                sheaves = map(ChernData, repeat(2), repeat(DivClass((k,))), curves, repeat(c3))
+                bad = next(compress(block, map(expected_dim, repeat(X), sheaves)), None)
                 if bad is not None:
                     raise SelfCheckFailed("dzero witness check", f"witness ({k}, {bad}) fails re-evaluation")
-    if A:
-        witnesses = tuple((k, c) for k, row in zip(ks, rows) for c in row)
-    else:
-        witnesses = WitnessRectangle(problem.k_range, problem.c_range)
 
     return DZeroReport(
         condition=condition,
@@ -377,7 +363,7 @@ def solve_dzero(problem: DZeroProblem, *, cap: int | None = None) -> DZeroReport
         modulus=modulus if residues else None,
         residues=residues or None,
         obstruction=obstruction,
-        witnesses=witnesses,
+        witnesses=tuple(pairs) if A else WitnessRectangle(problem.k_range, problem.c_range),
         k_range=problem.k_range,
         c_range=problem.c_range,
         grid_checked=True,

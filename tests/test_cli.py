@@ -812,6 +812,27 @@ def test_a_result_of_any_length_is_written_exactly(capsys, mode):
     assert got == want and len(want) > digits
 
 
+@NEEDS_CAP
+def test_the_python_api_writes_a_result_of_any_length():
+    # run and both renderers lift int's digit cap as main does, and put it back.
+    digits = sys.get_int_max_str_digits()
+    given = {"preset": "[2] in P4", "det": [1], "c2": [1]}
+    there = run(Request("serre", {**given, "direction": "to-c3", "genus": 10**5000}, "json")).data["c3"]
+    chi = run(Request("chi", {"preset": "[2] in P4", "rank": 10**5000, "c1": [1], "c2": [1]}, "json"))
+    texts = response_json(chi), response_table(chi)
+    assert sys.get_int_max_str_digits() == digits and len(there) > digits
+    sys.set_int_max_str_digits(0)
+    try:
+        # A string of more digits than the cap is refused as input: c3 goes back as an int.
+        back = run(Request("serre", {**given, "direction": "to-genus", "c3": int(there)}, "json")).data["genus"]
+        assert back == str(10**5000)
+        want = str(chi.data["chi"])
+        assert json.loads(texts[0])["data"]["chi"] == want and len(want) > digits
+        assert re.search(r"^  chi +(\S+)$", texts[1], re.M).group(1) == want
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
 @pytest.mark.parametrize("data, audit", [
     ({"value": 0.5}, ()),
     ({"nested": [1, {"x": 0.5}], "sheaf": ChernData(1, (0,), (0,), 0)}, ()),
