@@ -65,7 +65,7 @@ from .ci import (
     tangent_chern,
 )
 from .dzero import DZeroProblem, PaperClaimsReport, WitnessRectangle, solve_dzero, verify_paper_claims
-from .errors import Chern3Error, SchemaError, SelfCheckFailed
+from .errors import Chern3Error, ModelWarning, SchemaError, SelfCheckFailed
 from .moduli import (
     CohomologyLedger,
     ext1_ledger,
@@ -291,6 +291,8 @@ def _read_json(label: str, source: str | os.PathLike, inline: bool = False) -> o
                 text = file.read()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{label}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except UnicodeEncodeError as exc:  # open() cannot name a path such as a lone surrogate
+        raise OSError(f"cannot encode the path {source!r}: {exc.reason}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -309,7 +311,10 @@ def _parse_json_flag(text: str, label: str) -> dict:
 
 
 def _preset_fields(text: str) -> dict:
-    preset = parse_preset(text)
+    # The handler builds the preset again inside run, which reports its warnings under data.warnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelWarning)
+        preset = parse_preset(text)
     return {"ambient": preset.ambient, "degrees": list(preset.degrees)}
 
 

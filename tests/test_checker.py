@@ -291,8 +291,19 @@ def flag_text(flag, value):
     return json.dumps(value) if type(value) is dict else str(value)
 
 
+def catalogued(name):
+    """The threefold payload of the catalogued preset ``name``."""
+    degrees, ambient = name.split(" in P")
+    return {"ambient": int(ambient), "degrees": json.loads(degrees)}
+
+
 def as_argv(command, payload):
-    """The command line that fills ``payload`` but its version, or None if no flags fill it."""
+    """The command line that fills ``payload`` but its version, or None if no flags fill it.
+    A threefold payload of a catalogued preset is written through ``--preset``."""
+    if command == "threefold":
+        name = "[%s] in P%d" % (",".join(map(str, payload.get("degrees", []))), payload["ambient"])
+        if name in PRESET_CATALOG:
+            return [command, "--preset", name]
     argv = [command]
     for key, value in payload.items():
         if key == "schema":  # a document's version, which no flag sets
@@ -317,8 +328,13 @@ def test_flags_and_a_config_document_give_one_answer(monkeypatch, tmp_path, caps
         out, err = capsys.readouterr()
         return code, out, err.split("\n")[0]
 
+    payloads = valid_payloads(command)
+    if command == "threefold":
+        payloads |= st.sampled_from(PRESET_CATALOG).map(catalogued)
+    argvs = []
+
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(payload=valid_payloads(command), mode=st.sampled_from(["table", "json"]))
+    @given(payload=payloads, mode=st.sampled_from(["table", "json"]))
     def check(payload, mode):
         argv = as_argv(command, payload)
         assume(argv is not None)
@@ -326,7 +342,10 @@ def test_flags_and_a_config_document_give_one_answer(monkeypatch, tmp_path, caps
         flags = answer(argv + ["--json"] * (mode == "json"))
         assert flags == answer(["--config", str(config)])
         codes.append(flags[0])
+        argvs.append(argv)
 
     check()
+    if command == "threefold":
+        assert any("--preset" in argv for argv in argvs), "no drawn threefold payload was written through --preset"
     if "threefold" in PAYLOAD_SCHEMAS[command]["properties"]:  # a command with a target
         assert 0 in codes, f"no drawn {command} payload succeeded: exit codes {codes}"

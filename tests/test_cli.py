@@ -881,6 +881,21 @@ def test_warnings_surface_in_response():
     assert any("genus" in w for w in resp.data["warnings"])
 
 
+def test_a_redundant_degree_is_reported_once_through_every_door(tmp_path, capsys):
+    # --preset is parsed before run collects warnings, so its parser must not warn: that would be
+    # a raw Python warning on stderr, and under this suite's warning filter a traceback.
+    config = tmp_path / "request.json"
+    config.write_text(json.dumps({"command": "threefold", "payload": {"ambient": 4, "degrees": [1]}}))
+    answers = []
+    for argv in (["threefold", "--preset", "[1] in P4"], ["threefold", "--ambient", "4", "--degrees", "1"],
+                 ["--config", str(config)]):
+        assert main([*argv, "--json"]) == 0
+        answers.append(capsys.readouterr())
+    assert answers[0] == answers[1] == answers[2] and answers[0].err == ""
+    assert json.loads(answers[0].out)["data"]["warnings"] == [
+        "degree-1 hypersurfaces re-embed the same variety; the equivalent reduced preset is '[] in P3'"]
+
+
 # ---------------------------------------------------------------- flags reach the payload
 
 
@@ -994,6 +1009,12 @@ def test_no_drawn_argv_ends_in_a_traceback(monkeypatch):
         assert "Traceback" not in out.buffer.getvalue().decode() + err.getvalue()
 
     check()
+
+
+@pytest.mark.parametrize("argv", [["--config", "\ud800"], ["chern", "--f", "\ud800", "tensor"]])
+def test_a_path_that_cannot_be_encoded_is_an_io_error(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "IOError: cannot encode the path '\\ud800': surrogates not allowed\n"
 
 
 def test_a_generator_name_that_is_not_utf8_is_refused_before_writing(tmp_path, capsys):
