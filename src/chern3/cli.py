@@ -279,6 +279,15 @@ def _parse_degrees(text: str) -> list[int]:
     raise SchemaError(f"degrees {text!r} must be comma-separated integers")
 
 
+def _open(path: str | os.PathLike, mode: str = "r"):
+    """``path`` opened as UTF-8 text; a path that cannot be encoded, such
+    as a lone surrogate, is an OSError rather than a UnicodeEncodeError."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except UnicodeEncodeError as exc:
+        raise OSError(f"cannot encode the path {path!r}: {exc.reason}") from None
+
+
 def _read_json(label: str, source: str | os.PathLike, inline: bool = False) -> object:
     """The JSON document in the file at ``source``, or ``source`` itself if
     ``inline``.  Anything but a UTF-8 JSON document that int() and the
@@ -287,12 +296,10 @@ def _read_json(label: str, source: str | os.PathLike, inline: bool = False) -> o
         if inline:
             text = source
         else:
-            with open(source, encoding="utf-8") as file:
+            with _open(source) as file:
                 text = file.read()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{label}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    except UnicodeEncodeError as exc:  # open() cannot name a path such as a lone surrogate
-        raise OSError(f"cannot encode the path {source!r}: {exc.reason}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -828,7 +835,7 @@ def main(argv: list[str] | None = None) -> int:
             chunks = _json_chunks(response) if request.output_mode == "json" else _table_chunks(response)
             # next() renders, so checks, the whole report before --out is opened or a byte written.
             chunks = chain([next(chunks)], chunks, ["\n"])
-            stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+            stream = _open(args.out, "w") if args.out else sys.stdout
             try:
                 for chunk in chunks:  # a chunk at a time, so the report is never one string
                     stream.write(chunk)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import chern3
 from chern3 import checker
@@ -297,10 +297,10 @@ def catalogued(name):
     return {"ambient": int(ambient), "degrees": json.loads(degrees)}
 
 
-def as_argv(command, payload):
+def as_argv(command, payload, preset=False):
     """The command line that fills ``payload`` but its version, or None if no flags fill it.
-    A threefold payload of a catalogued preset is written through ``--preset``."""
-    if command == "threefold":
+    With ``preset``, a threefold payload of a catalogued preset is written through ``--preset``."""
+    if command == "threefold" and preset:
         name = "[%s] in P%d" % (",".join(map(str, payload.get("degrees", []))), payload["ambient"])
         if name in PRESET_CATALOG:
             return [command, "--preset", name]
@@ -334,9 +334,9 @@ def test_flags_and_a_config_document_give_one_answer(monkeypatch, tmp_path, caps
     argvs = []
 
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(payload=payloads, mode=st.sampled_from(["table", "json"]))
-    def check(payload, mode):
-        argv = as_argv(command, payload)
+    @given(payload=payloads, mode=st.sampled_from(["table", "json"]), preset=st.booleans())
+    def check(payload, mode, preset):
+        argv = as_argv(command, payload, preset)
         assume(argv is not None)
         config.write_text(json.dumps({"command": command, "payload": payload, "output_mode": mode}))
         flags = answer(argv + ["--json"] * (mode == "json"))
@@ -344,6 +344,9 @@ def test_flags_and_a_config_document_give_one_answer(monkeypatch, tmp_path, caps
         codes.append(flags[0])
         argvs.append(argv)
 
+    if command == "threefold":  # one catalogued payload through both doors, whatever else is drawn
+        for preset in (False, True):
+            check = example(payload=catalogued("[1] in P4"), mode="json", preset=preset)(check)
     check()
     if command == "threefold":
         assert any("--preset" in argv for argv in argvs), "no drawn threefold payload was written through --preset"

@@ -1011,7 +1011,8 @@ def test_no_drawn_argv_ends_in_a_traceback(monkeypatch):
     check()
 
 
-@pytest.mark.parametrize("argv", [["--config", "\ud800"], ["chern", "--f", "\ud800", "tensor"]])
+@pytest.mark.parametrize("argv", [["--config", "\ud800"], ["chern", "--f", "\ud800", "tensor"],
+                                  ["threefold", "--preset", "[2] in P4", "--out", "\ud800"]])
 def test_a_path_that_cannot_be_encoded_is_an_io_error(capsys, argv):
     assert main(argv) == 1
     assert capsys.readouterr().err == "IOError: cannot encode the path '\\ud800': surrogates not allowed\n"
